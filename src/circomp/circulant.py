@@ -125,12 +125,12 @@ class CirculantDigraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered adjacent pairs, each once, sorted by (low, high) endpoint."""
-        seen = set()
-        for i, j in self.arcs():
-            e = (i, j) if i < j else (j, i)
-            if e not in seen:
-                seen.add(e)
-                yield e
+        n = self.order
+        offsets = set(self.steps) | {n - s for s in self.steps}
+        for i in range(n):
+            for j in sorted({(i + s) % n for s in offsets}):
+                if j > i:
+                    yield (i, j)
 
     def is_connected(self) -> bool:
         """Traversal oracle: every vertex reachable from 0, arcs followed both ways."""

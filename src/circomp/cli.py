@@ -1,12 +1,14 @@
 """Command-line front end: counting, listing, converting, exporting, verifying.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
-or parse errors. All output is deterministic for fixed arguments.
+or parse errors and on results too large to build. All output is
+deterministic for fixed arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -28,28 +30,9 @@ from .bijections import (
 from . import counting
 from .verify import run_suites
 
-COUNT_FAMILIES = {
-    "compositions": counting.count_compositions,
-    "prime-compositions": counting.count_prime_compositions,
-    "disconnected": counting.count_disconnected_compositions,
-    "palindromes": counting.count_palindromes,
-    "aperiodic-palindromes": counting.count_aperiodic_palindromes,
-}
-
-LIST_FAMILIES = tuple(name.replace("_", "-") for name in counting.FAMILIES)
-
-TABLE_COLUMNS = (
-    "n",
-    "compositions",
-    "prime_compositions",
-    "disconnected",
-    "palindromes",
-    "aperiodic_palindromes",
-)
-
 
 def handle_count(args: argparse.Namespace) -> int:
-    print(COUNT_FAMILIES[args.family](args.n))
+    print(counting._FAMILY_TABLE[args.family.replace("-", "_")].count(args.n))
     return 0
 
 
@@ -57,24 +40,16 @@ def handle_list(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
     stream = counting.iter_family(args.n, args.family.replace("-", "_"))
-    items = []
-    truncated = False
-    for item in stream:
-        if args.limit is not None and len(items) == args.limit:
-            truncated = True
-            break
-        items.append(item)
+    items = itertools.islice(stream, args.limit)
     if args.format == "json":
-        payload = [
-            list(x.parts) if isinstance(x, Composition) else list(x.elements)
-            for x in items
-        ]
-        print(json.dumps(payload))
-    else:
-        for item in items:
-            print(item)
-        if truncated:
-            print("…truncated")
+        print(json.dumps([
+            list(x.parts) if isinstance(x, Composition) else list(x.elements) for x in items
+        ]))
+        return 0
+    for item in items:
+        print(item)
+    if next(stream, None) is not None:
+        print("…truncated")
     return 0
 
 
@@ -106,15 +81,13 @@ def handle_graph(args: argparse.Namespace) -> int:
 
 
 def handle_table(args: argparse.Namespace) -> int:
-    rows = counting.count_table(args.max_n)
+    rows = [vars(row) for row in counting.count_table(args.max_n)]
     if args.format == "json":
-        print(json.dumps([
-            {col: getattr(row, col) for col in TABLE_COLUMNS} for row in rows
-        ]))
+        print(json.dumps(rows))
         return 0
-    cells = [[col.replace("_", "-") for col in TABLE_COLUMNS]]
-    cells += [[str(getattr(row, col)) for col in TABLE_COLUMNS] for row in rows]
-    widths = [max(len(line[i]) for line in cells) for i in range(len(TABLE_COLUMNS))]
+    cells = [[col.replace("_", "-") for col in rows[0]]]
+    cells += [[str(value) for value in row.values()] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     for line in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
     return 0
@@ -162,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print the exact size of a family at order n")
-    p.add_argument("family", choices=sorted(COUNT_FAMILIES))
+    p.add_argument("family", choices=sorted(
+        name.replace("_", "-") for name, family in counting._FAMILY_TABLE.items() if family.count
+    ))
     p.add_argument("n", type=int)
     p.set_defaults(handler=handle_count)
 
     p = sub.add_parser("list", help="stream the members of a family at order n")
-    p.add_argument("family", choices=sorted(LIST_FAMILIES))
+    p.add_argument("family", choices=sorted(name.replace("_", "-") for name in counting.FAMILIES))
     p.add_argument("n", type=int)
     p.add_argument("--limit", type=int, default=None, help="stop after this many members")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -211,11 +186,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Counts print exactly at any size: lift CPython's int -> str digit limit
+    # (0 where the runtime has none) while the command runs.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError):
+        print("error: the result is too large to build", file=sys.stderr)
+        return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -26,10 +26,6 @@ class Composition:
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers: {self.parts}")
 
-    @classmethod
-    def of(cls, *parts: int) -> Composition:
-        return cls(parts)
-
     @property
     def total(self) -> int:
         """The composed integer n, recomputed as the sum of the parts."""

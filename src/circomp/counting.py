@@ -10,8 +10,8 @@ cross-check at small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import make_dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .compositions import Composition
 from .circulant import ConnectionSet
@@ -19,32 +19,43 @@ from .circulant import ConnectionSet
 
 def divisors(n: int) -> list[int]:
     """All divisors of n >= 1 in ascending order, including 1 and n."""
-    _require_positive(n)
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in _factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def moebius(m: int) -> int:
     """0 when a squared prime divides m, else (-1)^(number of prime factors)."""
-    _require_positive(m)
-    sign = 1
+    exponents = _factorize(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime -> exponent for n >= 1, primes ascending, by trial division."""
+    _require_positive(n)
+    factors: dict[int, int] = {}
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if m > 1 else sign
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def _moebius_sums(n: int, *fs: Callable[[int], int]) -> list[int]:
+    """For each f, the sum of mu(n/d) f(d) over d | n, from one factorisation of n.
+
+    Only squarefree n/d give nonzero terms: one per subset S of the
+    distinct primes of n, with d = n / prod(S) and mu(n/d) = (-1)^|S|.
+    """
+    terms = [(n, 1)]
+    for p in _factorize(n):
+        terms += [(d // p, -mu) for d, mu in terms]
+    return [sum(mu * f(d) for d, mu in terms) for f in fs]
 
 
 def count_compositions(n: int) -> int:
@@ -66,8 +77,7 @@ def count_prime_compositions(n: int) -> int:
 
     Equals the number of connected circulant digraphs of order n.
     """
-    _require_positive(n)
-    return sum(moebius(n // d) << (d - 1) for d in divisors(n))
+    return _moebius_sums(n, count_compositions)[0]
 
 
 def count_disconnected_compositions(n: int) -> int:
@@ -76,7 +86,6 @@ def count_disconnected_compositions(n: int) -> int:
     Equals the sum of count_prime_compositions over the proper divisors
     of n, and the number of disconnected circulant digraphs of order n.
     """
-    _require_positive(n)
     return count_compositions(n) - count_prime_compositions(n)
 
 
@@ -94,23 +103,12 @@ def count_aperiodic_palindromes(n: int) -> int:
     """Aperiodic palindromes of n: sum of mu(n/d) (2^floor(d/2) - 1) over d | n.
 
     Equals the number of connected circulant graphs of order n; defined
-    for n >= 2 only.
+    for n >= 2 only. There the sum of mu(n/d) over d | n is 0, so the -1
+    drops out and each term is mu(n/d) count_palindromes(d).
     """
     if n < 2:
         raise ValueError(f"aperiodic palindromes are counted for n >= 2, got {n}")
-    return sum(moebius(n // d) * ((1 << (d // 2)) - 1) for d in divisors(n))
-
-
-FAMILIES = (
-    "compositions",
-    "prime_compositions",
-    "palindromes",
-    "aperiodic_palindromes",
-    "connection_sets",
-    "symmetric_connection_sets",
-)
-
-_NEEDS_ORDER_TWO = ("palindromes", "aperiodic_palindromes", "symmetric_connection_sets")
+    return _moebius_sums(n, count_palindromes)[0]
 
 
 def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[ConnectionSet]:
@@ -124,22 +122,18 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from: {', '.join(FAMILIES)}")
     _require_positive(n)
-    if n == 1 and family in _NEEDS_ORDER_TWO:
-        raise ValueError(f"family {family!r} is defined for n >= 2 only")
-    masks = range(1 << (n - 1))
-    if family == "compositions":
-        return (Composition(_gaps_of_mask(n, m)) for m in masks)
-    if family == "prime_compositions":
-        words = (Composition(_gaps_of_mask(n, m)) for m in masks)
-        return (c for c in words if c.gcd() == 1)
-    if family == "palindromes":
-        return _iter_palindromes(n)
-    if family == "aperiodic_palindromes":
-        return (c for c in _iter_palindromes(n) if c.is_aperiodic())
-    if family == "connection_sets":
-        return (_set_of_mask(n, m) for m in masks)
-    sets = (_set_of_mask(n, m) for m in masks)
-    return (s for s in sets if s.is_symmetric())
+    _, members, min_n = _FAMILY_TABLE[family]
+    if n < min_n:
+        raise ValueError(f"family {family!r} is defined for n >= {min_n} only")
+    return members(n)
+
+
+def _compositions(n: int) -> Iterator[Composition]:
+    return (Composition(_gaps_of_mask(n, m)) for m in range(1 << (n - 1)))
+
+
+def _connection_sets(n: int) -> Iterator[ConnectionSet]:
+    return (_set_of_mask(n, m) for m in range(1 << (n - 1)))
 
 
 def _iter_palindromes(n: int) -> Iterator[Composition]:
@@ -200,31 +194,58 @@ def _reverse_bits(mask: int, width: int) -> int:
     return rev >> (-width % 8)
 
 
-@dataclass(frozen=True)
-class CountRow:
-    """The five family sizes at one order n."""
+class _Family(NamedTuple):
+    count: Callable[[int], int] | None  # None: the family is listed only
+    members: Callable[[int], Iterator[Any]] | None  # None: counted only
+    min_n: int  # smallest order the members are listed at
 
-    n: int
-    compositions: int
-    prime_compositions: int
-    disconnected: int
-    palindromes: int
-    aperiodic_palindromes: int
+
+# Every family by name. The order is public: the counted families give the
+# columns of CountRow and of the count table, the listed ones FAMILIES.
+_FAMILY_TABLE = {
+    "compositions": _Family(count_compositions, _compositions, 1),
+    "prime_compositions": _Family(
+        count_prime_compositions, lambda n: (c for c in _compositions(n) if c.gcd() == 1), 1
+    ),
+    "disconnected": _Family(count_disconnected_compositions, None, 1),
+    "palindromes": _Family(count_palindromes, _iter_palindromes, 2),
+    "aperiodic_palindromes": _Family(
+        count_aperiodic_palindromes,
+        lambda n: (c for c in _iter_palindromes(n) if c.is_aperiodic()),
+        2,
+    ),
+    "connection_sets": _Family(None, _connection_sets, 1),
+    "symmetric_connection_sets": _Family(
+        None, lambda n: (s for s in _connection_sets(n) if s.is_symmetric()), 2
+    ),
+}
+
+FAMILIES = tuple(name for name, family in _FAMILY_TABLE.items() if family.members)
+
+CountRow = make_dataclass(
+    "CountRow",
+    [("n", int)] + [(name, int) for name, family in _FAMILY_TABLE.items() if family.count],
+    frozen=True,
+    namespace={"__doc__": "The five family sizes at one order n.", "__module__": __name__},
+)
 
 
 def count_row(n: int) -> CountRow:
-    """All five counts at order n.
+    """All five counts at order n, from one factorisation of n.
 
     The n = 1 palindromic entries are both 1 by the single-word
     convention; the raw count_aperiodic_palindromes still rejects n < 2.
+    At n = 1 the Moebius sum is the single term count_palindromes(1) = 1.
     """
+    compositions = count_compositions(n)
+    prime, aperiodic = _moebius_sums(n, count_compositions, count_palindromes)
     return CountRow(
         n=n,
-        compositions=count_compositions(n),
-        prime_compositions=count_prime_compositions(n),
-        disconnected=count_disconnected_compositions(n),
+        compositions=compositions,
+        prime_compositions=prime,
+        disconnected=compositions - prime,
         palindromes=count_palindromes(n),
-        aperiodic_palindromes=1 if n == 1 else count_aperiodic_palindromes(n),
+        aperiodic_palindromes=aperiodic,
     )
 
 

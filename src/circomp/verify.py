@@ -29,7 +29,6 @@ from .counting import (
     count_disconnected_compositions,
     divisors,
     iter_family,
-    _set_of_mask,
 )
 
 # Previously published order-72 figures; both disagree with the counting
@@ -62,17 +61,12 @@ def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _all_sets(n: int) -> Iterator[ConnectionSet]:
-    for mask in range(1 << (n - 1)):
-        yield _set_of_mask(n, mask)
-
-
 def suite_round_trips(max_n: int = 14) -> SuiteResult:
     """Gap word and prefix-sum set invert each other, preserving part counts."""
     name = "gap-word round trips"
     checked = 0
     for n in range(1, max_n + 1):
-        for s in _all_sets(n):
+        for s in iter_family(n, "connection_sets"):
             c = gap_composition(s)
             checked += 1
             if c.total != n or c.part_count != s.size or prefix_sum_set(c) != s:
@@ -90,7 +84,7 @@ def suite_gcd_preservation(max_n: int = 14) -> SuiteResult:
     name = "gcd preservation"
     checked = 0
     for n in range(1, max_n + 1):
-        for s in _all_sets(n):
+        for s in iter_family(n, "connection_sets"):
             checked += 1
             if gap_composition(s).gcd() != s.gcd():
                 return SuiteResult(name, False, checked, f"n={n}, set {s}")
@@ -102,7 +96,7 @@ def suite_symmetry_palindrome(max_n: int = 14) -> SuiteResult:
     name = "symmetry vs palindromicity"
     checked = 0
     for n in range(1, max_n + 1):
-        for s in _all_sets(n):
+        for s in iter_family(n, "connection_sets"):
             checked += 1
             if s.is_symmetric() != gap_composition(s).is_palindrome():
                 return SuiteResult(name, False, checked, f"n={n}, set {s}")
@@ -123,7 +117,7 @@ def suite_connectivity(
     name = "connectivity oracle agreement"
     checked = 0
     for n in range(min_n, max_n + 1):
-        for s in _all_sets(n):
+        for s in iter_family(n, "connection_sets"):
             g = build_digraph(s)
             weak = g.is_connected()
             checked += 1

@@ -108,6 +108,10 @@ class TestDigraph:
         g = build_digraph(ConnectionSet(5, (0, 1)))
         assert list(g.arcs()) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
+    def test_edges_of_asymmetric_set_are_sorted(self):
+        g = build_digraph(ConnectionSet(5, (0, 1)))
+        assert list(g.edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
     def test_zero_only_set_has_no_arcs(self):
         g = build_digraph(ConnectionSet(5, (0,)))
         assert list(g.arcs()) == []
@@ -125,6 +129,7 @@ class TestDigraph:
             arcs = set(g.arcs())
             assert all(len(g.out_neighbors(i)) == s.size - 1 for i in range(n))
             assert all(((i + 1) % n, (j + 1) % n) in arcs for i, j in arcs)
+            assert list(g.edges()) == sorted({(min(a), max(a)) for a in arcs})
 
     def test_has_arc_agrees_with_listing(self):
         g = build_digraph(ConnectionSet(7, (0, 2, 3)))

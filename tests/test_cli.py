@@ -1,10 +1,12 @@
+import argparse
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from circomp.cli import main
+from circomp.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -42,6 +44,50 @@ class TestCount:
     def test_unknown_family(self):
         code, _, _ = run_cli("count", "partitions", "5")
         assert code == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    def test_exact_past_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli("count", "compositions", "20000")
+        assert code == 0
+        assert len(out.strip()) == 6021
+        assert int(out.strip()[-30:]) == pow(2, 19999, 10**30)
+        assert sys.get_int_max_str_digits() == limit
+
+
+class TestTooLarge:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "compositions", "100000000000000000000"),
+            ("list", "compositions", "100000000000000000000", "--limit", "2"),
+            ("count", "palindromes", "100000000000000000000"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+
+def subcommand_choices(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "family")
+
+
+def test_family_choices_are_pinned():
+    assert subcommand_choices("count") == [
+        "aperiodic-palindromes", "compositions", "disconnected", "palindromes",
+        "prime-compositions",
+    ]
+    assert subcommand_choices("list") == [
+        "aperiodic-palindromes", "compositions", "connection-sets", "palindromes",
+        "prime-compositions", "symmetric-connection-sets",
+    ]
 
 
 class TestList:
@@ -194,6 +240,19 @@ class TestTable:
     def test_rejects_nonpositive(self):
         code, _, _ = run_cli("table", "0")
         assert code == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    def test_json_table_past_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit; 2^2199 has 662 digits
+        try:
+            code, out, _ = run_cli("table", "2200", "--format", "json")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert json.loads(out)[-1]["compositions"] == 1 << 2199
 
 
 class TestVerify:

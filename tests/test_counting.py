@@ -23,6 +23,10 @@ from circomp.counting import (
 )
 
 
+# A large prime, a prime square, and products with one or two large primes.
+LARGE_FACTOR_ORDERS = [1000003, 2 * 1000003, 999983**2, 12 * 999983**2, 999979 * 1000003]
+
+
 class TestDivisors:
     def test_examples(self):
         assert divisors(72) == [1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72]
@@ -33,7 +37,7 @@ class TestDivisors:
         with pytest.raises(ValueError):
             divisors(0)
 
-    @pytest.mark.parametrize("n", range(1, 500, 7))
+    @pytest.mark.parametrize("n", [*range(1, 500, 7), *LARGE_FACTOR_ORDERS])
     def test_against_sympy(self, n):
         assert divisors(n) == sympy.divisors(n)
 
@@ -51,6 +55,10 @@ class TestMoebius:
     def test_against_sympy(self):
         for m in range(1, 500):
             assert moebius(m) == int(sympy.mobius(m))
+
+    @pytest.mark.parametrize("m", LARGE_FACTOR_ORDERS)
+    def test_large_factors_against_sympy(self, m):
+        assert moebius(m) == int(sympy.mobius(m))
 
 
 class TestCounts:
@@ -105,6 +113,14 @@ class TestCounts:
     def test_aperiodic_rejects_below_two(self):
         with pytest.raises(ValueError):
             count_aperiodic_palindromes(1)
+
+    def test_kernel_matches_full_divisor_sum(self):
+        for n in range(2, 2001):
+            terms = [(d, moebius(n // d)) for d in divisors(n)]
+            assert count_prime_compositions(n) == sum(mu << (d - 1) for d, mu in terms)
+            assert count_aperiodic_palindromes(n) == sum(
+                mu * ((1 << (d // 2)) - 1) for d, mu in terms
+            )
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_moebius_inversion_identity(self, n):
@@ -205,6 +221,13 @@ class TestCountTable:
     def test_row_identity(self):
         for row in count_table(64):
             assert row.prime_compositions + row.disconnected == row.compositions
+
+    def test_rows_match_the_count_functions(self):
+        for row in count_table(300)[1:]:
+            assert row.prime_compositions == count_prime_compositions(row.n)
+            assert row.disconnected == count_disconnected_compositions(row.n)
+            assert row.palindromes == count_palindromes(row.n)
+            assert row.aperiodic_palindromes == count_aperiodic_palindromes(row.n)
 
     def test_first_row_uses_conventions(self):
         assert count_row(1) == CountRow(1, 1, 1, 0, 1, 1)
