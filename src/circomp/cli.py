@@ -11,7 +11,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .compositions import Composition, parse_composition
 from .circulant import (
@@ -73,10 +73,8 @@ def handle_graph(args: argparse.Namespace) -> int:
         raise ValueError(f"bad member list: {args.members!r}") from None
     connection = ConnectionSet.from_members(args.n, members)
     graph = build_digraph(connection) if args.mode == "digraph" else build_graph(connection)
-    if args.format == "dot":
-        sys.stdout.write(render_dot(graph))
-    else:
-        sys.stdout.write(render_edgelist(graph))
+    render = render_dot if args.format == "dot" else render_edgelist
+    render(graph, sys.stdout)
     return 0
 
 
@@ -106,21 +104,28 @@ def handle_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def render_dot(graph: CirculantDigraph) -> str:
-    """Graphviz text: vertex lines first, then sorted arc or edge lines."""
+def render_dot(graph: CirculantDigraph, out: TextIO) -> None:
+    """Write Graphviz text: vertex lines first, then sorted arc or edge lines."""
     keyword, joiner = ("digraph", "->") if graph.directed else ("graph", "--")
     pairs = graph.arcs() if graph.directed else graph.edges()
-    lines = [f"{keyword} {{"]
-    lines += [f"  {v};" for v in range(graph.order)]
-    lines += [f"  {i} {joiner} {j};" for i, j in pairs]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    _write_chunked(itertools.chain(
+        [f"{keyword} {{\n"],
+        (f"  {v};\n" for v in range(graph.order)),
+        (f"  {i} {joiner} {j};\n" for i, j in pairs),
+        ["}\n"],
+    ), out)
 
 
-def render_edgelist(graph: CirculantDigraph) -> str:
-    """One "i j" line per arc (digraph) or per unordered edge (graph)."""
+def render_edgelist(graph: CirculantDigraph, out: TextIO) -> None:
+    """Write one "i j" line per arc (digraph) or per unordered edge (graph)."""
     pairs = graph.arcs() if graph.directed else graph.edges()
-    return "".join(f"{i} {j}\n" for i, j in pairs)
+    _write_chunked((f"{i} {j}\n" for i, j in pairs), out)
+
+
+def _write_chunked(lines: Iterator[str], out: TextIO) -> None:
+    """Write the lines 2^14 at a time: bounded memory, one write per chunk."""
+    while chunk := "".join(itertools.islice(lines, 1 << 14)):
+        out.write(chunk)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from circomp.cli import build_parser, main
+from circomp.circulant import ConnectionSet, build_digraph
+from circomp.cli import build_parser, main, render_dot, render_edgelist
 
 
 def run_cli(*argv):
@@ -64,6 +66,10 @@ class TestTooLarge:
             ("count", "compositions", "100000000000000000000"),
             ("list", "compositions", "100000000000000000000", "--limit", "2"),
             ("count", "palindromes", "100000000000000000000"),
+            # A prime order: the count fails before n is trial-divided.
+            ("count", "prime-compositions", "1000000000000000003"),
+            ("count", "disconnected", "1000000000000000003"),
+            ("count", "aperiodic-palindromes", "1000000000000000003"),
         ],
     )
     def test_exits_2_with_one_line(self, argv):
@@ -215,6 +221,29 @@ class TestGraph:
     def test_dot_deterministic(self):
         assert run_cli("graph", "9", "0,2,7") == run_cli("graph", "9", "0,2,7")
 
+    @pytest.mark.parametrize("render", [render_dot, render_edgelist])
+    def test_renders_in_bounded_chunks(self, render):
+        graph = build_digraph(ConnectionSet(20000, (0, 1, 5)))
+        out = WriteLog()
+        render(graph, out)
+        assert len(out.writes) > 1
+        assert max(chunk.count("\n") for chunk in out.writes) <= 1 << 14
+        whole = io.StringIO()
+        render(graph, whole)
+        assert "".join(out.writes) == whole.getvalue()
+        assert whole.getvalue().count("\n") == 40000 + (20002 if render is render_dot else 0)
+
+
+class WriteLog:
+    """Text sink that keeps every write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
 
 class TestTable:
     def test_known_rows(self):
@@ -273,3 +302,75 @@ class TestVerify:
     def test_rejects_max_n_below_two(self):
         code, _, _ = run_cli("verify", "--max-n", "1")
         assert code == 2
+
+
+# Argument values that are not what the parser or the handlers expect. None
+# reads as an integer above 12 (so no order is large) or starts "-h" (so
+# argparse never prints help).
+junk = st.sampled_from(["", " ", "x", "1.5", "0x10", "²", "١٢", "2,,1", "5: 0,1", "-", "nan"]) | (
+    st.text(alphabet=",:; ab-.", max_size=6)
+)
+
+
+def mostly(values):
+    """One argument: drawn from values, or junk one time in eight."""
+    return st.integers(0, 7).flatmap(lambda k: junk if k == 0 else values).map(lambda a: [a])
+
+
+def option(name, values):
+    """Absent, or the option followed by one argument."""
+    return st.just([]) | mostly(values).map(lambda a: [name] + a)
+
+
+def joined(lists):
+    return lists.map(lambda xs: ",".join(map(str, xs)))
+
+
+def family(command):
+    return mostly(st.sampled_from(subcommand_choices(command)))
+
+
+orders = mostly(st.integers(-3, 12).map(str))
+formats = st.sampled_from(["text", "json"])
+cli_argv = st.one_of(
+    st.tuples(st.just(["count"]), family("count"), orders),
+    st.tuples(
+        st.just(["list"]), family("list"), orders,
+        option("--limit", st.integers(-2, 5).map(str)), option("--format", formats),
+    ),
+    st.tuples(
+        st.just(["convert"]),
+        mostly(st.sampled_from(["to-set", "to-composition", "tau", "tau-inv"])),
+        mostly(
+            joined(st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
+                lambda xs: xs + xs[-2::-1]  # a palindrome when no part is 0
+            ))
+            | st.tuples(st.integers(-1, 12), joined(st.lists(st.integers(-2, 13), max_size=4)))
+            .map(lambda t: f"{t[0]}: {t[1]}")
+        ),
+    ),
+    st.tuples(
+        st.just(["graph"]), orders, mostly(joined(st.lists(st.integers(-3, 15), max_size=4))),
+        option("--mode", st.sampled_from(["digraph", "graph"])),
+        option("--format", st.sampled_from(["dot", "edgelist"])),
+    ),
+    st.tuples(st.just(["table"]), orders, option("--format", formats)),
+    st.tuples(
+        st.just(["verify"]),
+        mostly(st.integers(-1, 6).map(str)).map(lambda a: ["--max-n"] + a),
+        option("--workers", st.integers(-1, 1).map(str)),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv)
+def test_every_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the usage
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)

@@ -3,7 +3,7 @@ import sympy
 
 from circomp.compositions import Composition
 from circomp.circulant import ConnectionSet
-from circomp.bijections import gap_composition
+from circomp.bijections import gap_composition, prefix_sum_set
 from circomp.counting import (
     CountRow,
     count_aperiodic_palindromes,
@@ -187,7 +187,7 @@ class TestIterFamily:
         with pytest.raises(ValueError):
             iter_family(0, "compositions")
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", range(2, 19))
     def test_palindromes_match_naive_filter(self, n):
         fast = [c.parts for c in iter_family(n, "palindromes")]
         naive = [c.parts for c in iter_family(n, "compositions") if c.is_palindrome()]
@@ -199,11 +199,17 @@ class TestIterFamily:
         naive = [c.parts for c in iter_family(n, "compositions") if c.gcd() == 1]
         assert fast == naive
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_symmetric_family_matches_filter(self, n):
         fast = [s.elements for s in iter_family(n, "symmetric_connection_sets")]
         naive = [s.elements for s in iter_family(n, "connection_sets") if s.is_symmetric()]
         assert fast == naive
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_palindromes_and_symmetric_sets_share_one_mask_stream(self, n):
+        words = iter_family(n, "palindromes")
+        sets = iter_family(n, "symmetric_connection_sets")
+        assert [prefix_sum_set(c) for c in words] == list(sets)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_stream_lengths_match_counts(self, n):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from circomp import counting
 from circomp.verify import (
     PUBLISHED_72_CONNECTED,
     PUBLISHED_72_DISCONNECTED,
@@ -15,6 +16,11 @@ from circomp.verify import (
 def literal_gcd_connected(s):
     """Deliberately broken criterion: ignores the modulus when taking the gcd."""
     return math.gcd(*s.elements) == 1
+
+
+def low_masks(n):
+    """Deliberately broken generator: the right number of masks, mostly the wrong ones."""
+    return iter(range(1 << (n // 2)))
 
 
 class TestRunSuites:
@@ -50,6 +56,16 @@ class TestFaultInjection:
         result = suite_connectivity(max_n=12, min_n=2, connected_by_gcd=literal_gcd_connected)
         assert not result.passed
         assert "3: 0,2" in result.counterexample
+
+    def test_broken_palindrome_generator_fails_naming_the_order(self, monkeypatch):
+        monkeypatch.setattr(counting, "_symmetric_masks", low_masks)
+        results = {r.name: r for r in run_suites(max_n=8)}
+        result = results["count formulas vs enumeration"]
+        assert not result.passed
+        assert result.counterexample.startswith("n=3:")
+        result = results["aperiodic palindrome bijection"]
+        assert not result.passed
+        assert result.counterexample == "n=3, word 1,2: 1,2 is not a palindrome"
 
 
 class TestOrder72:
