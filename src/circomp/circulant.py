@@ -134,34 +134,27 @@ class CirculantDigraph:
 
     def is_connected(self) -> bool:
         """Traversal oracle: every vertex reachable from 0, arcs followed both ways."""
-        return self._reachable_from_zero(both_ways=True)
+        return self._reaches_all(self.steps + tuple(-s for s in self.steps))
 
     def is_strongly_connected(self) -> bool:
         """Every vertex reachable from 0 and 0 reachable from every vertex."""
-        return self._reachable_from_zero(invert=False) and self._reachable_from_zero(invert=True)
+        return self._reaches_all(self.steps) and self._reaches_all(tuple(-s for s in self.steps))
 
-    def _reachable_from_zero(self, both_ways: bool = False, invert: bool = False) -> bool:
+    def _reaches_all(self, offsets: tuple[int, ...]) -> bool:
+        """Walk from 0 by the given offsets; True iff the walk reaches every vertex."""
         n = self.order
-        if n == 1:
-            return True
-        steps = self.steps
-        if not steps:
-            return False
         seen = bytearray(n)
         seen[0] = 1
         stack = [0]
         count = 1
         while stack:
             i = stack.pop()
-            for s in steps:
-                targets = ((i + s) % n, (i - s) % n) if both_ways else (
-                    ((i - s) % n,) if invert else ((i + s) % n,)
-                )
-                for j in targets:
-                    if not seen[j]:
-                        seen[j] = 1
-                        count += 1
-                        stack.append(j)
+            for s in offsets:
+                j = (i + s) % n
+                if not seen[j]:
+                    seen[j] = 1
+                    count += 1
+                    stack.append(j)
         return count == n
 
 

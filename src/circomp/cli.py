@@ -42,9 +42,14 @@ def handle_list(args: argparse.Namespace) -> int:
     stream = counting.iter_family(args.n, args.family.replace("-", "_"))
     items = itertools.islice(stream, args.limit)
     if args.format == "json":
-        print(json.dumps([
-            list(x.parts) if isinstance(x, Composition) else list(x.elements) for x in items
-        ]))
+        # The bytes of json.dumps(list), written 2^14 rows at a time.
+        rows = (list(x.parts) if isinstance(x, Composition) else list(x.elements) for x in items)
+        sys.stdout.write("[")
+        sep = ""
+        while block := list(itertools.islice(rows, 1 << 14)):
+            sys.stdout.write(sep + json.dumps(block)[1:-1])
+            sep = ", "
+        print("]")
         return 0
     for item in items:
         print(item)

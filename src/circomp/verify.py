@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import Callable, Iterator
 
 from .compositions import Composition
 from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
-from .bijections import (
-    gap_composition,
-    prefix_sum_set,
-    connected_set_of,
-    aperiodic_palindrome_of,
-)
+from .bijections import aperiodic_palindrome_of, connected_set_of, gap_composition, prefix_sum_set
 from .counting import (
     count_aperiodic_palindromes,
     count_compositions,
@@ -48,6 +44,25 @@ class SuiteResult:
     detail: str | None = None
 
 
+Checks = Iterator[tuple[int, str | None]]
+
+
+def _run_suite(name: str, checks: Callable[[int], Checks], first: int, last: int) -> SuiteResult:
+    """Run ``checks(n)`` for n = first..last and add up the checks made.
+
+    A check body yields (checks made, None) as it goes and (checks made,
+    counterexample) at a failure. The run stops at the first
+    counterexample, so a body is never resumed after yielding one.
+    """
+    checked = 0
+    for n in range(first, last + 1):
+        for made, counterexample in checks(n):
+            checked += made
+            if counterexample is not None:
+                return SuiteResult(name, False, checked, counterexample)
+    return SuiteResult(name, True, checked)
+
+
 def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Every composition of n by direct recursion on the first part.
 
@@ -62,46 +77,44 @@ def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def suite_round_trips(max_n: int = 14) -> SuiteResult:
+def _round_trips(n: int) -> Checks:
     """Gap word and prefix-sum set invert each other, preserving part counts."""
-    name = "gap-word round trips"
-    checked = 0
-    for n in range(1, max_n + 1):
-        for s in iter_family(n, "connection_sets"):
-            c = gap_composition(s)
-            checked += 1
-            if c.total != n or c.part_count != s.size or prefix_sum_set(c) != s:
-                return SuiteResult(name, False, checked, f"n={n}, set {s}")
-        for parts in _brute_compositions(n):
-            c = Composition(parts)
-            checked += 1
-            if gap_composition(prefix_sum_set(c)) != c:
-                return SuiteResult(name, False, checked, f"n={n}, word {c}")
-    return SuiteResult(name, True, checked)
+    for s in iter_family(n, "connection_sets"):
+        c = gap_composition(s)
+        bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
+        yield 1, f"n={n}, set {s}" if bad else None
+    for parts in _brute_compositions(n):
+        c = Composition(parts)
+        yield 1, f"n={n}, word {c}" if gap_composition(prefix_sum_set(c)) != c else None
 
 
-def suite_gcd_preservation(max_n: int = 14) -> SuiteResult:
+def _gcd_preservation(n: int) -> Checks:
     """The gap word of a set has the same gcd as the set itself."""
-    name = "gcd preservation"
-    checked = 0
-    for n in range(1, max_n + 1):
-        for s in iter_family(n, "connection_sets"):
-            checked += 1
-            if gap_composition(s).gcd() != s.gcd():
-                return SuiteResult(name, False, checked, f"n={n}, set {s}")
-    return SuiteResult(name, True, checked)
+    for s in iter_family(n, "connection_sets"):
+        yield 1, f"n={n}, set {s}" if gap_composition(s).gcd() != s.gcd() else None
 
 
-def suite_symmetry_palindrome(max_n: int = 14) -> SuiteResult:
+def _symmetry_palindrome(n: int) -> Checks:
     """A set is symmetric exactly when its gap word is a palindrome."""
-    name = "symmetry vs palindromicity"
-    checked = 0
-    for n in range(1, max_n + 1):
-        for s in iter_family(n, "connection_sets"):
-            checked += 1
-            if s.is_symmetric() != gap_composition(s).is_palindrome():
-                return SuiteResult(name, False, checked, f"n={n}, set {s}")
-    return SuiteResult(name, True, checked)
+    for s in iter_family(n, "connection_sets"):
+        yield 1, f"n={n}, set {s}" if s.is_symmetric() != gap_composition(s).is_palindrome() else None
+
+
+def _connectivity(
+    n: int,
+    strong_max_n: int = 10,
+    connected_by_gcd: Callable[[ConnectionSet], bool] = is_connected_by_gcd,
+) -> Checks:
+    """The gcd criterion agrees with traversal on every set; weak equals strong."""
+    for s in iter_family(n, "connection_sets"):
+        g = build_digraph(s)
+        weak = g.is_connected()
+        if connected_by_gcd(s) != weak:
+            yield 1, f"n={n}, set {s}: gcd criterion {connected_by_gcd(s)}, traversal {weak}"
+        elif n <= strong_max_n and g.is_strongly_connected() != weak:
+            yield 1, f"n={n}, set {s}: weak != strong"
+        else:
+            yield 1, None
 
 
 def suite_connectivity(
@@ -110,154 +123,100 @@ def suite_connectivity(
     strong_max_n: int = 10,
     connected_by_gcd: Callable[[ConnectionSet], bool] = is_connected_by_gcd,
 ) -> SuiteResult:
-    """The gcd criterion agrees with traversal on every set; weak equals strong.
-
-    ``connected_by_gcd`` is injectable so a broken variant can be shown
-    to fail with a named witness.
+    """Run the connectivity checks for n = min_n..max_n; ``connected_by_gcd``
+    is injectable so a broken variant can be shown to fail with a named witness.
     """
-    name = "connectivity oracle agreement"
-    checked = 0
-    for n in range(min_n, max_n + 1):
-        for s in iter_family(n, "connection_sets"):
-            g = build_digraph(s)
-            weak = g.is_connected()
-            checked += 1
-            if connected_by_gcd(s) != weak:
-                return SuiteResult(
-                    name, False, checked,
-                    f"n={n}, set {s}: gcd criterion {connected_by_gcd(s)}, traversal {weak}",
-                )
-            if n <= strong_max_n and g.is_strongly_connected() != weak:
-                return SuiteResult(name, False, checked, f"n={n}, set {s}: weak != strong")
-    return SuiteResult(name, True, checked)
+    checks = partial(_connectivity, strong_max_n=strong_max_n, connected_by_gcd=connected_by_gcd)
+    return _run_suite(_CONNECTIVITY, checks, min_n, max_n)
 
 
-def suite_palindrome_bijection(max_n: int = 16) -> SuiteResult:
+def _palindrome_bijection(n: int) -> Checks:
     """Aperiodic palindromes map one-to-one onto symmetric generating sets."""
-    name = "aperiodic palindrome bijection"
-    checked = 0
-    for n in range(2, max_n + 1):
-        aperiodic = list(iter_family(n, "aperiodic_palindromes"))
-        targets = {
-            s for s in iter_family(n, "connection_sets") if s.is_symmetric() and s.gcd() == 1
-        }
-        images = []
-        for c in aperiodic:
-            try:
-                images.append(connected_set_of(c))
-            except ValueError as exc:  # the stream yielded a word outside the domain
-                return SuiteResult(name, False, checked, f"n={n}, word {c}: {exc}")
-        checked += len(aperiodic) + len(targets)
-        if len(set(images)) != len(images):
-            return SuiteResult(name, False, checked, f"n={n}: images collide")
-        if set(images) != targets:
-            stray = set(images) ^ targets
-            return SuiteResult(name, False, checked, f"n={n}: image mismatch at {min(stray)}")
-        if len(aperiodic) != count_aperiodic_palindromes(n):
-            return SuiteResult(
-                name, False, checked,
-                f"n={n}: {len(aperiodic)} enumerated vs {count_aperiodic_palindromes(n)} counted",
-            )
-        for c in aperiodic:
-            if aperiodic_palindrome_of(connected_set_of(c)) != c:
-                return SuiteResult(name, False, checked, f"n={n}, word {c}")
-        for s in targets:
-            if connected_set_of(aperiodic_palindrome_of(s)) != s:
-                return SuiteResult(name, False, checked, f"n={n}, set {s}")
-    return SuiteResult(name, True, checked)
+    aperiodic = list(iter_family(n, "aperiodic_palindromes"))
+    targets = {s for s in iter_family(n, "connection_sets") if s.is_symmetric() and s.gcd() == 1}
+    images = []
+    for c in aperiodic:
+        try:
+            images.append(connected_set_of(c))
+        except ValueError as exc:  # the stream yielded a word outside the domain
+            yield 0, f"n={n}, word {c}: {exc}"
+    yield len(aperiodic) + len(targets), None
+    if len(set(images)) != len(images):
+        yield 0, f"n={n}: images collide"
+    if set(images) != targets:
+        stray = set(images) ^ targets
+        yield 0, f"n={n}: image mismatch at {min(stray)}"
+    if len(aperiodic) != count_aperiodic_palindromes(n):
+        yield 0, f"n={n}: {len(aperiodic)} enumerated vs {count_aperiodic_palindromes(n)} counted"
+    for c in aperiodic:
+        if aperiodic_palindrome_of(connected_set_of(c)) != c:
+            yield 0, f"n={n}, word {c}"
+    for s in targets:
+        if connected_set_of(aperiodic_palindrome_of(s)) != s:
+            yield 0, f"n={n}, set {s}"
 
 
-def suite_count_oracles(max_n: int = 20) -> SuiteResult:
+def _count_oracles(n: int) -> Checks:
     """Closed-form counts equal the lengths of the enumerated families.
 
     The palindromes are also found by filtering the full compositions
     scan, which must reproduce the directly generated stream item for item.
     """
-    name = "count formulas vs enumeration"
-    checked = 0
-    for n in range(1, max_n + 1):
-        prime = 0
-        scanned_pals = []
-        for c in iter_family(n, "compositions"):
-            if c.gcd() == 1:
-                prime += 1
-            if c.is_palindrome():
-                scanned_pals.append(c)
-        checked += count_compositions(n)
-        if prime != count_prime_compositions(n):
-            return SuiteResult(
-                name, False, checked,
-                f"n={n}: {prime} coprime words enumerated vs {count_prime_compositions(n)} counted",
-            )
-        if n < 2:
-            continue
-        pals = list(iter_family(n, "palindromes"))
-        if pals != scanned_pals:
-            stray = next((a, b) for a, b in zip_longest(pals, scanned_pals) if a != b)
-            return SuiteResult(
-                name, False, checked,
-                f"n={n}: palindrome stream gives {stray[0]} where the scan gives {stray[1]}",
-            )
-        if len(pals) != count_palindromes(n):
-            return SuiteResult(
-                name, False, checked,
-                f"n={n}: {len(pals)} palindromes enumerated vs {count_palindromes(n)} counted",
-            )
-        aperiodic = sum(1 for c in pals if c.is_aperiodic())
-        if aperiodic != count_aperiodic_palindromes(n):
-            return SuiteResult(
-                name, False, checked,
-                f"n={n}: {aperiodic} aperiodic enumerated vs {count_aperiodic_palindromes(n)} counted",
-            )
-    return SuiteResult(name, True, checked)
+    prime = 0
+    scanned_pals = []
+    for c in iter_family(n, "compositions"):
+        if c.gcd() == 1:
+            prime += 1
+        if c.is_palindrome():
+            scanned_pals.append(c)
+    yield count_compositions(n), None
+    if prime != count_prime_compositions(n):
+        yield 0, f"n={n}: {prime} coprime words enumerated vs {count_prime_compositions(n)} counted"
+    if n < 2:
+        return
+    pals = list(iter_family(n, "palindromes"))
+    if pals != scanned_pals:
+        stray = next((a, b) for a, b in zip_longest(pals, scanned_pals) if a != b)
+        yield 0, f"n={n}: palindrome stream gives {stray[0]} where the scan gives {stray[1]}"
+    if len(pals) != count_palindromes(n):
+        yield 0, f"n={n}: {len(pals)} palindromes enumerated vs {count_palindromes(n)} counted"
+    aperiodic = sum(1 for c in pals if c.is_aperiodic())
+    if aperiodic != count_aperiodic_palindromes(n):
+        yield 0, f"n={n}: {aperiodic} aperiodic enumerated vs {count_aperiodic_palindromes(n)} counted"
 
 
-def suite_moebius_inversion(max_n: int = 64) -> SuiteResult:
+def _moebius_inversion(n: int) -> Checks:
     """Summing the coprime-word count over divisors recovers 2^(n-1)."""
-    name = "divisor-sum inversion identity"
-    checked = 0
-    for n in range(1, max_n + 1):
-        checked += 1
-        total = sum(count_prime_compositions(d) for d in divisors(n))
-        if total != count_compositions(n):
-            return SuiteResult(name, False, checked, f"n={n}: {total} != 2^{n - 1}")
-    return SuiteResult(name, True, checked)
+    total = sum(count_prime_compositions(d) for d in divisors(n))
+    yield 1, f"n={n}: {total} != 2^{n - 1}" if total != count_compositions(n) else None
 
 
-def suite_part_refinement(max_n: int = 14) -> SuiteResult:
+def _part_refinement(n: int) -> Checks:
     """Binomial part counts match brute-force tallies and sum to 2^(n-1)."""
-    name = "part-count refinement"
-    checked = 0
-    for n in range(1, max_n + 1):
-        tally: dict[int, int] = {}
-        for parts in _brute_compositions(n):
-            tally[len(parts)] = tally.get(len(parts), 0) + 1
-            checked += 1
-        for k in range(1, n + 1):
-            if tally.get(k, 0) != count_compositions_with_parts(n, k):
-                return SuiteResult(name, False, checked, f"n={n}, k={k}")
-        if sum(tally.values()) != count_compositions(n):
-            return SuiteResult(name, False, checked, f"n={n}: row sum")
-    return SuiteResult(name, True, checked)
+    tally: dict[int, int] = {}
+    for parts in _brute_compositions(n):
+        tally[len(parts)] = tally.get(len(parts), 0) + 1
+    yield sum(tally.values()), None
+    for k in range(1, n + 1):
+        if tally.get(k, 0) != count_compositions_with_parts(n, k):
+            yield 0, f"n={n}, k={k}"
+    if sum(tally.values()) != count_compositions(n):
+        yield 0, f"n={n}: row sum"
 
 
-def suite_scaling_bijection(max_n: int = 16) -> SuiteResult:
+def _scaling_bijection(n: int) -> Checks:
     """Dividing by the gcd maps words with gcd d one-to-one onto coprime words of n/d."""
-    name = "common-factor scaling bijection"
-    checked = 0
-    for n in range(1, max_n + 1):
-        by_gcd: dict[int, set[tuple[int, ...]]] = {}
-        for c in iter_family(n, "compositions"):
-            by_gcd.setdefault(c.gcd(), set()).add(c.parts)
-            checked += 1
-        for d, words in by_gcd.items():
-            images = {tuple(p // d for p in parts) for parts in words}
-            if len(images) != len(words):
-                return SuiteResult(name, False, checked, f"n={n}, d={d}: images collide")
-            target = {c.parts for c in iter_family(n // d, "compositions") if c.gcd() == 1}
-            if images != target:
-                return SuiteResult(name, False, checked, f"n={n}, d={d}: image mismatch")
-    return SuiteResult(name, True, checked)
+    by_gcd: dict[int, set[tuple[int, ...]]] = {}
+    for c in iter_family(n, "compositions"):
+        by_gcd.setdefault(c.gcd(), set()).add(c.parts)
+        yield 1, None
+    for d, words in by_gcd.items():
+        images = {tuple(p // d for p in parts) for parts in words}
+        if len(images) != len(words):
+            yield 0, f"n={n}, d={d}: images collide"
+        target = {c.parts for c in iter_family(n // d, "compositions") if c.gcd() == 1}
+        if images != target:
+            yield 0, f"n={n}, d={d}: image mismatch"
 
 
 def suite_order_72(_max_n: int | None = None) -> SuiteResult:
@@ -267,7 +226,6 @@ def suite_order_72(_max_n: int | None = None) -> SuiteResult:
     disconnected is 2^71, and the proper-divisor route agrees); the
     published digits are reported alongside because they differ.
     """
-    name = "order-72 recomputation"
     connected = count_prime_compositions(72)
     disconnected = count_disconnected_compositions(72)
     divisor_route = sum(count_prime_compositions(d) for d in divisors(72) if d != 72)
@@ -276,40 +234,46 @@ def suite_order_72(_max_n: int | None = None) -> SuiteResult:
         f"connected={connected} disconnected={disconnected}; published figures "
         f"{PUBLISHED_72_CONNECTED} and {PUBLISHED_72_DISCONNECTED} differ from the formula values"
     )
-    if not ok:
-        return SuiteResult(name, False, 3, "order-72 totals are not self-consistent", detail)
-    return SuiteResult(name, True, 3, None, detail)
+    counterexample = None if ok else "order-72 totals are not self-consistent"
+    return SuiteResult(_ORDER_72, ok, 3, counterexample, detail)
 
 
-# (display name, suite, default ceiling); a user-supplied --max-n lowers
-# the ceilings but never raises them past the under-a-minute defaults.
-SUITES: tuple[tuple[str, Callable[..., SuiteResult], int | None], ...] = (
-    ("gap-word round trips", suite_round_trips, 14),
-    ("gcd preservation", suite_gcd_preservation, 14),
-    ("symmetry vs palindromicity", suite_symmetry_palindrome, 14),
-    ("connectivity oracle agreement", suite_connectivity, 12),
-    ("aperiodic palindrome bijection", suite_palindrome_bijection, 16),
-    ("count formulas vs enumeration", suite_count_oracles, 20),
-    ("divisor-sum inversion identity", suite_moebius_inversion, 64),
-    ("part-count refinement", suite_part_refinement, 14),
-    ("common-factor scaling bijection", suite_scaling_bijection, 16),
-    ("order-72 recomputation", suite_order_72, None),
+_CONNECTIVITY = "connectivity oracle agreement"
+_ORDER_72 = "order-72 recomputation"
+
+# (display name, per-order checks, first order, default ceiling); a
+# user-supplied --max-n lowers the ceilings but never raises them past the
+# under-a-minute defaults.
+_SUITE_TABLE = (
+    ("gap-word round trips", _round_trips, 1, 14),
+    ("gcd preservation", _gcd_preservation, 1, 14),
+    ("symmetry vs palindromicity", _symmetry_palindrome, 1, 14),
+    (_CONNECTIVITY, _connectivity, 1, 12),
+    ("aperiodic palindrome bijection", _palindrome_bijection, 2, 16),
+    ("count formulas vs enumeration", _count_oracles, 1, 20),
+    ("divisor-sum inversion identity", _moebius_inversion, 1, 64),
+    ("part-count refinement", _part_refinement, 1, 14),
+    ("common-factor scaling bijection", _scaling_bijection, 1, 16),
 )
+
+# (display name, suite, ceiling): suite(ceiling) runs it up to that order.
+SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
+    (name, partial(_run_suite, name, checks, first), ceiling)
+    for name, checks, first, ceiling in _SUITE_TABLE
+) + ((_ORDER_72, suite_order_72, 72),)
 
 
 def _run_one(index: int, max_n: int | None) -> SuiteResult:
     _, fn, default = SUITES[index]
-    if default is None:
-        return fn()
-    ceiling = default if max_n is None else min(default, max_n)
-    return fn(ceiling)
+    return fn(default if max_n is None else min(default, max_n))
 
 
 def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
     """Run every suite, optionally sharded across worker processes.
 
     Results come back in registry order regardless of completion order,
-    so reports are deterministic.
+    so reports are deterministic. No more workers start than there are
+    suites.
     """
     if max_n is not None and max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {max_n}")
@@ -318,5 +282,5 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
     indices = range(len(SUITES))
     if workers == 1:
         return [_run_one(i, max_n) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(SUITES))) as pool:
         return list(pool.map(_run_one, indices, [max_n] * len(SUITES)))

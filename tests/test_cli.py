@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circomp import counting
 from circomp.circulant import ConnectionSet, build_digraph
 from circomp.cli import build_parser, main, render_dot, render_edgelist
 
@@ -119,6 +120,14 @@ class TestList:
         code, out, _ = run_cli("list", "compositions", "5", "--format", "json", "--limit", "3")
         assert code == 0
         assert json.loads(out) == [[5], [1, 4], [2, 3]]
+
+    @pytest.mark.parametrize("n,limit", [(15, None), (16, 16384), (16, 16385), (16, None)])
+    def test_json_across_the_2_14_row_chunks(self, n, limit):
+        argv = ["list", "compositions", str(n), "--format", "json"]
+        code, out, _ = run_cli(*argv, *([] if limit is None else ["--limit", str(limit)]))
+        rows = [list(c.parts) for c in counting.iter_family(n, "compositions")][:limit]
+        assert code == 0
+        assert out == json.dumps(rows) + "\n"
 
     def test_json_connection_sets(self):
         code, out, _ = run_cli("list", "connection-sets", "3", "--format", "json")
@@ -302,6 +311,16 @@ class TestVerify:
     def test_rejects_max_n_below_two(self):
         code, _, _ = run_cli("verify", "--max-n", "1")
         assert code == 2
+
+    def test_failure_prints_the_first_counterexample_and_exits_1(self, monkeypatch):
+        # A broken generator: the right number of masks, mostly the wrong ones.
+        monkeypatch.setattr(counting, "_symmetric_masks", lambda n: iter(range(1 << (n // 2))))
+        code, out, _ = run_cli("verify", "--max-n", "8")
+        assert code == 1
+        assert (
+            "FAIL count formulas vs enumeration (7 checks): first counterexample: "
+            "n=3: palindrome stream gives 1,2 where the scan gives 1,1,1"
+        ) in out.splitlines()
 
 
 # Argument values that are not what the parser or the handlers expect. None

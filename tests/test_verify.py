@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circomp import counting
+from circomp import counting, verify
 from circomp.verify import (
     PUBLISHED_72_CONNECTED,
     PUBLISHED_72_DISCONNECTED,
@@ -33,6 +33,29 @@ class TestRunSuites:
     def test_workers_match_sequential(self):
         assert run_suites(max_n=4, workers=2) == run_suites(max_n=4)
 
+    def test_pool_is_capped_at_the_suite_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        assert run_suites(max_n=4, workers=100_000) == run_suites(max_n=4)
+        assert run_suites(max_n=4, workers=3) == run_suites(max_n=4)
+        assert sizes == [len(SUITES), 3]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_suites(max_n=1)
@@ -44,6 +67,7 @@ class TestFaultInjection:
     def test_broken_gcd_fails_naming_the_order_8_witness(self):
         result = suite_connectivity(max_n=8, min_n=8, connected_by_gcd=literal_gcd_connected)
         assert not result.passed
+        assert result.checked == 5
         assert "8: 0,3" in result.counterexample
 
     def test_broken_gcd_full_scan_hits_smaller_witnesses_first(self):
@@ -52,9 +76,11 @@ class TestFaultInjection:
         # its element gcd of 2.
         result = suite_connectivity(max_n=12, connected_by_gcd=literal_gcd_connected)
         assert not result.passed
+        assert result.checked == 1
         assert "n=1, set 1: 0" in result.counterexample
         result = suite_connectivity(max_n=12, min_n=2, connected_by_gcd=literal_gcd_connected)
         assert not result.passed
+        assert result.checked == 5
         assert "3: 0,2" in result.counterexample
 
     def test_broken_palindrome_generator_fails_naming_the_order(self, monkeypatch):
@@ -62,9 +88,11 @@ class TestFaultInjection:
         results = {r.name: r for r in run_suites(max_n=8)}
         result = results["count formulas vs enumeration"]
         assert not result.passed
+        assert result.checked == 7
         assert result.counterexample.startswith("n=3:")
         result = results["aperiodic palindrome bijection"]
         assert not result.passed
+        assert result.checked == 2
         assert result.counterexample == "n=3, word 1,2: 1,2 is not a palindrome"
 
 
