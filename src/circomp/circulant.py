@@ -37,6 +37,18 @@ class ConnectionSet:
             raise ValueError(f"elements must lie in [0, {n}): {elems}")
 
     @classmethod
+    def _unchecked(cls, modulus: int, elements: tuple[int, ...]) -> ConnectionSet:
+        """Wrap a canonical element tuple that is valid by construction.
+
+        Skips ``__post_init__``; only the enumerators use it, on sets
+        they build themselves. The public constructor always validates.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "elements", elements)
+        return self
+
+    @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> ConnectionSet:
         """Canonicalize arbitrary members: reduce mod n, deduplicate, sort.
 
@@ -108,10 +120,6 @@ class CirculantDigraph:
     def steps(self) -> tuple[int, ...]:
         """Nonzero connection elements; each contributes one arc per vertex."""
         return self.connection.elements[1:]
-
-    def has_arc(self, i: int, j: int) -> bool:
-        n = self.order
-        return i % n != j % n and (j - i) % n in self.steps
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         n = self.order

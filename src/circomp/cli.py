@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Iterator, Sequence, TextIO
 
-from .compositions import Composition, parse_composition
+from .compositions import parse_composition
 from .circulant import (
     CirculantDigraph,
     ConnectionSet,
@@ -39,23 +39,53 @@ def handle_count(args: argparse.Namespace) -> int:
 def handle_list(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
-    stream = counting.iter_family(args.n, args.family.replace("-", "_"))
-    items = itertools.islice(stream, args.limit)
-    if args.format == "json":
-        # The bytes of json.dumps(list), written 2^14 rows at a time.
-        rows = (list(x.parts) if isinstance(x, Composition) else list(x.elements) for x in items)
-        sys.stdout.write("[")
-        sep = ""
-        while block := list(itertools.islice(rows, 1 << 14)):
-            sys.stdout.write(sep + json.dumps(block)[1:-1])
-            sep = ", "
-        print("]")
-        return 0
-    for item in items:
-        print(item)
-    if next(stream, None) is not None:
+    json_rows = args.format == "json"
+    blocks = _list_blocks(args.n, args.family.replace("-", "_"), json_rows, args.limit)
+    # Text is one line per member; JSON is the bytes of json.dumps(list),
+    # whose "[" waits for the first block, so a failing order prints nothing.
+    joiner = ", " if json_rows else ""
+    lead, left, more = "[" if json_rows else "", args.limit, False
+    for block in blocks:
+        if left is not None:
+            if len(block) >= left:
+                more = not json_rows and (len(block) > left or any(blocks))
+                block = block[:left]
+            left -= len(block)
+        if block:
+            sys.stdout.write(lead + joiner.join(block))
+            lead = joiner
+        if left == 0:
+            break
+    if json_rows:
+        print("[]" if lead == "[" else "]")
+    elif more:
         print("…truncated")
     return 0
+
+
+def _list_blocks(n: int, family: str, json_rows: bool, limit: int | None) -> Iterator[list[str]]:
+    """The family's members at order n as text lines or JSON rows, in blocks.
+
+    The dense families are spelled straight from the block kernel's
+    string tables, one block per high half of the mask. The palindromic
+    ones are spelled member by member, at most limit + 1 of them (enough
+    to tell whether the limit cuts the list), 2^14 to a block.
+    """
+    sets = family.endswith("connection_sets")
+    head, sep, end = ("[", ", ", "]") if json_rows else (f"{n}: " if sets else "", ",", "\n")
+
+    def low(nums: tuple[int, ...]) -> str:
+        return head + "".join(f"{x}{sep}" for x in nums)
+
+    def high(nums: tuple[int, ...]) -> str:
+        return "".join(f"{sep}{x}" for x in nums) + end
+
+    if counting._listed(n, family).dense:
+        return counting._dense_blocks(n, family, (low, str, high))
+    members = itertools.islice(counting.iter_family(n, family), None if limit is None else limit + 1)
+    nums = (x.elements if sets else x.parts for x in members)
+    rows = (low(m[:-1]) + str(m[-1]) + high(()) for m in nums)
+    return iter(lambda: list(itertools.islice(rows, 1 << 14)), [])
 
 
 def handle_convert(args: argparse.Namespace) -> int:

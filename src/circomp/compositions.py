@@ -26,6 +26,17 @@ class Composition:
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers: {self.parts}")
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> Composition:
+        """Wrap a tuple of positive parts that is valid by construction.
+
+        Skips ``__post_init__``; only the enumerators use it, on words
+        they build themselves. The public constructor always validates.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
+
     @property
     def total(self) -> int:
         """The composed integer n, recomputed as the sum of the parts."""
@@ -34,10 +45,6 @@ class Composition:
     @property
     def part_count(self) -> int:
         return len(self.parts)
-
-    def reverse(self) -> Composition:
-        """The same parts in the opposite order."""
-        return Composition(self.parts[::-1])
 
     def is_palindrome(self) -> bool:
         """True iff the word reads the same forwards and backwards."""
@@ -65,12 +72,6 @@ class Composition:
     def is_aperiodic(self) -> bool:
         """True iff the smallest period equals the part count."""
         return self.period() == len(self.parts)
-
-    def repeat(self, times: int) -> Composition:
-        """The ``times``-fold concatenation of the word with itself."""
-        if times < 1:
-            raise ValueError(f"repetition count must be >= 1, got {times}")
-        return Composition(self.parts * times)
 
     def rescale(self) -> Composition:
         """Trade the common factor d = gcd(parts) > 1 for a d-fold repeat.

@@ -10,6 +10,8 @@ cross-check at small n.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import chain
 from dataclasses import make_dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -120,26 +122,106 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
 
     Members arrive in ascending bitmask order: mask m encodes the
     connection set {0} | {i+1 : bit i of m set}, and composition
-    families see the gap word of that set. The palindromic families
-    follow the convention that they are defined for n >= 2 only, and
-    are generated directly from the 2^floor(n/2) masks fixed by bit
-    reversal, so they cost no scan of all 2^(n-1) masks.
+    families see the gap word of that set. The dense families come from
+    the block kernel; the palindromic families follow the convention
+    that they are defined for n >= 2 only, and are generated directly
+    from the 2^floor(n/2) masks fixed by bit reversal, so they cost no
+    scan of all 2^(n-1) masks.
     """
+    return _listed(n, family).members(n)
+
+
+def _listed(n: int, family: str) -> _Family:
+    """The table entry of a listed family, once n is known to be in its domain."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from: {', '.join(FAMILIES)}")
     _require_positive(n)
-    _, members, min_n = _FAMILY_TABLE[family]
-    if n < min_n:
-        raise ValueError(f"family {family!r} is defined for n >= {min_n} only")
-    return members(n)
+    entry = _FAMILY_TABLE[family]
+    if n < entry.min_n:
+        raise ValueError(f"family {family!r} is defined for n >= {entry.min_n} only")
+    return entry
 
 
-def _compositions(n: int) -> Iterator[Composition]:
-    return (Composition(_gaps_of_mask(n, m)) for m in range(1 << (n - 1)))
+_LOW_BITS = 10  # the kernel tabulates the low min(10, n - 1) bits of every mask
 
 
-def _connection_sets(n: int) -> Iterator[ConnectionSet]:
-    return (_set_of_mask(n, m) for m in range(1 << (n - 1)))
+# A spelling is a tuple (low, gap, high) of callables that tells the block
+# kernel how to write an item: low(before) + gap(boundary) + high(after), where
+# before and after are the numbers on either side of the boundary number (gaps
+# for the composition families, elements for the connection sets).
+_TUPLES = (tuple, lambda g: (g,), tuple)
+
+
+def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
+    """The members of a dense family at order n, one block per high half of the mask.
+
+    A mask of width n - 1 splits into its low k = min(10, n - 1) bits L
+    and its high bits H (Knuth, TAOCP 4A, 7.2.1). L's elements run
+    0 < ... < p_L, all at most k; H's run q_H < ... < n, closed by n. The
+    gap word of mask H * 2^k + L is L's prefix of gaps, the boundary gap
+    q_H - p_L, then H's tail of gaps; the connection set is L's
+    elements, then H's. The 2^k low entries are built once per call,
+    and each high half, ascending, yields its 2^k items in ascending
+    mask order as one block; prime_compositions drops the words whose
+    parts share a factor, at one gcd per item.
+    """
+    k = min(_LOW_BITS, n - 1)
+    highs = range(1 << (n - 1 - k))  # an order too large to enumerate fails here, at the call
+    sets = family == "connection_sets"
+    coprime = family == "prime_compositions"
+    table = _low_table(k, sets, spell)
+    _, spell_gap, spell_high = spell
+
+    def blocks() -> Iterator[list[Any]]:
+        for h in highs:
+            run = _run(h, k + 1) + (n,)
+            q, tail = run[0], _diffs(run)
+            high = spell_high(run[:-1] if sets else tail)
+            bound = [spell_gap(p if sets else q - p) for p in range(k + 1)]
+            if coprime:
+                g = math.gcd(*tail)
+                yield [low + bound[p] + high for low, p, d in table if math.gcd(d, q - p, g) == 1]
+            else:
+                yield [low + bound[p] + high for low, p, _ in table]
+
+    return blocks()
+
+
+def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
+    """Per k-bit low half L, ascending: its spelled piece, p_L, and the gcd of its gaps.
+
+    The piece is everything before the boundary number: L's gaps for a
+    word, L's elements but p_L for a set, whose boundary number is p_L.
+    """
+    spell_low, table = spell[0], []
+    for m in range(1 << k):
+        run = (0,) + _run(m, 1)
+        gaps = _diffs(run)
+        table.append((spell_low(run[:-1] if sets else gaps), run[-1], math.gcd(*gaps)))
+    return table
+
+
+def _run(mask: int, first: int) -> tuple[int, ...]:
+    """The numbers first + i for each set bit i of the mask, ascending."""
+    run = []
+    while mask:
+        low = mask & -mask
+        run.append(first + low.bit_length() - 1)
+        mask ^= low
+    return tuple(run)
+
+
+def _diffs(run: tuple[int, ...]) -> tuple[int, ...]:
+    """Differences of consecutive numbers of the run."""
+    return tuple(b - a for a, b in zip(run, run[1:]))
+
+
+def _dense_members(n: int, family: str) -> Iterator[Composition] | Iterator[ConnectionSet]:
+    """The block kernel's tuples as objects, built without re-validation."""
+    items = chain.from_iterable(_dense_blocks(n, family, _TUPLES))
+    if family == "connection_sets":
+        return map(partial(ConnectionSet._unchecked, n), items)
+    return map(Composition._unchecked, items)
 
 
 def _iter_palindromes(n: int) -> Iterator[Composition]:
@@ -170,7 +252,11 @@ def _symmetric_masks(n: int) -> Iterator[int]:
 
 
 def _gaps_of_mask(n: int, mask: int) -> tuple[int, ...]:
-    """Cyclic gap word of the set {0} | {i+1 : bit i of mask set}."""
+    """Cyclic gap word of the set {0} | {i+1 : bit i of mask set}.
+
+    The per-mask route of the palindromic families, and verify's oracle
+    for the block kernel.
+    """
     parts = []
     prev = 0
     while mask:
@@ -184,7 +270,11 @@ def _gaps_of_mask(n: int, mask: int) -> tuple[int, ...]:
 
 
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
-    """The connection set {0} | {i+1 : bit i of mask set} over Z_n."""
+    """The connection set {0} | {i+1 : bit i of mask set} over Z_n.
+
+    The per-mask route of symmetric_connection_sets, and verify's oracle
+    for the block kernel.
+    """
     elems = [0]
     pos = 1
     while mask:
@@ -204,14 +294,17 @@ class _Family(NamedTuple):
     count: Callable[[int], int] | None  # None: the family is listed only
     members: Callable[[int], Iterator[Any]] | None  # None: counted only
     min_n: int  # smallest order the members are listed at
+    dense: bool = False  # listed by the block kernel, _dense_blocks
 
 
 # Every family by name. The order is public: the counted families give the
 # columns of CountRow and of the count table, the listed ones FAMILIES.
 _FAMILY_TABLE = {
-    "compositions": _Family(count_compositions, _compositions, 1),
+    "compositions": _Family(
+        count_compositions, lambda n: _dense_members(n, "compositions"), 1, dense=True
+    ),
     "prime_compositions": _Family(
-        count_prime_compositions, lambda n: (c for c in _compositions(n) if c.gcd() == 1), 1
+        count_prime_compositions, lambda n: _dense_members(n, "prime_compositions"), 1, dense=True
     ),
     "disconnected": _Family(count_disconnected_compositions, None, 1),
     "palindromes": _Family(count_palindromes, _iter_palindromes, 2),
@@ -220,7 +313,9 @@ _FAMILY_TABLE = {
         lambda n: (c for c in _iter_palindromes(n) if c.is_aperiodic()),
         2,
     ),
-    "connection_sets": _Family(None, _connection_sets, 1),
+    "connection_sets": _Family(
+        None, lambda n: _dense_members(n, "connection_sets"), 1, dense=True
+    ),
     "symmetric_connection_sets": _Family(
         None, lambda n: (_set_of_mask(n, m) for m in _symmetric_masks(n)), 2
     ),

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .compositions import Composition
 from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
@@ -26,6 +26,8 @@ from .counting import (
     count_disconnected_compositions,
     divisors,
     iter_family,
+    _gaps_of_mask,
+    _set_of_mask,
 )
 
 # Previously published order-72 figures; both disagree with the counting
@@ -52,14 +54,19 @@ def _run_suite(name: str, checks: Callable[[int], Checks], first: int, last: int
 
     A check body yields (checks made, None) as it goes and (checks made,
     counterexample) at a failure. The run stops at the first
-    counterexample, so a body is never resumed after yielding one.
+    counterexample, so a body is never resumed after yielding one. A
+    body that raises ValueError (a library call rejected what the
+    enumerators built) fails with the error as its counterexample.
     """
     checked = 0
     for n in range(first, last + 1):
-        for made, counterexample in checks(n):
-            checked += made
-            if counterexample is not None:
-                return SuiteResult(name, False, checked, counterexample)
+        try:
+            for made, counterexample in checks(n):
+                checked += made
+                if counterexample is not None:
+                    return SuiteResult(name, False, checked, counterexample)
+        except ValueError as exc:
+            return SuiteResult(name, False, checked, f"n={n}: {exc}")
     return SuiteResult(name, True, checked)
 
 
@@ -77,9 +84,20 @@ def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _masks(n: int, stream: Iterator[Any]) -> Iterator[tuple[int | None, Any]]:
+    """Pair mask m with item m of a kernel stream; None where either runs out."""
+    return zip_longest(range(count_compositions(n)), stream)
+
+
 def _round_trips(n: int) -> Checks:
-    """Gap word and prefix-sum set invert each other, preserving part counts."""
-    for s in iter_family(n, "connection_sets"):
+    """Gap word and prefix-sum set invert each other, preserving part counts.
+
+    The sets also check the block kernel against the per-mask route.
+    """
+    for m, s in _masks(n, iter_family(n, "connection_sets")):
+        want = None if m is None else _set_of_mask(n, m)
+        if s != want:
+            yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
         c = gap_composition(s)
         bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
         yield 1, f"n={n}, set {s}" if bad else None
@@ -159,12 +177,17 @@ def _palindrome_bijection(n: int) -> Checks:
 def _count_oracles(n: int) -> Checks:
     """Closed-form counts equal the lengths of the enumerated families.
 
-    The palindromes are also found by filtering the full compositions
-    scan, which must reproduce the directly generated stream item for item.
+    The compositions must equal the per-mask route item for item. The
+    palindromes are also found by filtering that scan, which must
+    reproduce the directly generated stream item for item.
     """
     prime = 0
     scanned_pals = []
-    for c in iter_family(n, "compositions"):
+    for m, c in _masks(n, iter_family(n, "compositions")):
+        want = None if m is None else _gaps_of_mask(n, m)
+        if c is None or c.parts != want:
+            word = Composition(want) if want else None
+            yield 0, f"n={n}, mask {m}: the kernel gives {c}, the mask route {word}"
         if c.gcd() == 1:
             prime += 1
         if c.is_palindrome():
@@ -210,7 +233,11 @@ def _scaling_bijection(n: int) -> Checks:
     for c in iter_family(n, "compositions"):
         by_gcd.setdefault(c.gcd(), set()).add(c.parts)
         yield 1, None
-    for d, words in by_gcd.items():
+    divs = divisors(n)
+    if not by_gcd.keys() <= set(divs):
+        yield 0, f"n={n}, d={min(by_gcd.keys() - set(divs))}: not a divisor of n"
+    for d in divs:  # every class, so a class the scan misses meets its target
+        words = by_gcd.get(d, set())
         images = {tuple(p // d for p in parts) for parts in words}
         if len(images) != len(words):
             yield 0, f"n={n}, d={d}: images collide"

@@ -131,13 +131,6 @@ class TestDigraph:
             assert all(((i + 1) % n, (j + 1) % n) in arcs for i, j in arcs)
             assert list(g.edges()) == sorted({(min(a), max(a)) for a in arcs})
 
-    def test_has_arc_agrees_with_listing(self):
-        g = build_digraph(ConnectionSet(7, (0, 2, 3)))
-        arcs = set(g.arcs())
-        for i in range(7):
-            for j in range(7):
-                assert g.has_arc(i, j) == ((i, j) in arcs)
-
 
 class TestGraph:
     def test_perfect_matching(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from circomp import counting
 from circomp.circulant import ConnectionSet, build_digraph
+from circomp.compositions import Composition
 from circomp.cli import build_parser, main, render_dot, render_edgelist
 
 
@@ -66,6 +67,11 @@ class TestTooLarge:
         [
             ("count", "compositions", "100000000000000000000"),
             ("list", "compositions", "100000000000000000000", "--limit", "2"),
+            ("list", "compositions", "1000000000000", "--limit", "1"),
+            ("list", "prime-compositions", "1000000000000", "--limit", "1"),
+            ("list", "connection-sets", "1000000000000", "--limit", "1"),
+            # The palindromic streams fail at their first item, not at the call.
+            ("list", "palindromes", "100000000000000000000", "--format", "json"),
             ("count", "palindromes", "100000000000000000000"),
             # A prime order: the count fails before n is trial-divided.
             ("count", "prime-compositions", "1000000000000000003"),
@@ -152,6 +158,41 @@ class TestList:
         first = run_cli("list", "palindromes", "9")
         second = run_cli("list", "palindromes", "9")
         assert first == second
+
+
+DENSE = ("compositions", "prime-compositions", "connection-sets")
+
+
+def rendered(family, n, fmt, limit=None):
+    """The list output built from iter_family's objects: str(x) lines or json.dumps."""
+    members = list(counting.iter_family(n, family.replace("-", "_")))
+    shown = members[:limit]
+    if fmt == "json":
+        rows = [list(x.parts if isinstance(x, Composition) else x.elements) for x in shown]
+        return json.dumps(rows) + "\n"
+    return "".join(f"{x}\n" for x in shown) + ("…truncated\n" if len(shown) < len(members) else "")
+
+
+class TestDenseRendering:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("family", DENSE)
+    def test_block_rendering_matches_the_objects(self, family, fmt):
+        for n in range(1, 17):
+            assert run_cli("list", family, str(n), "--format", fmt) == (0, rendered(family, n, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("family", DENSE)
+    @pytest.mark.parametrize(
+        "n,limit", [(11, 1023), (11, 1024), (11, 1025), (12, 1023), (12, 1024), (12, 1025),
+                    (15, 16384), (16, 16383), (16, 16384), (16, 16385)],
+    )
+    def test_limits_at_block_and_chunk_edges(self, family, fmt, n, limit):
+        argv = ("list", family, str(n), "--format", fmt, "--limit", str(limit))
+        assert run_cli(*argv) == (0, rendered(family, n, fmt, limit), "")
+
+    def test_huge_order_prints_the_first_rows(self):
+        code, out, err = run_cli("list", "compositions", "1000000", "--limit", "2")
+        assert (code, out, err) == (0, "1000000\n1,999999\n…truncated\n", "")
 
 
 class TestConvert:

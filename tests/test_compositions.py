@@ -52,20 +52,6 @@ class TestTotal:
         assert Composition(parts).total == total
 
 
-class TestReverse:
-    @pytest.mark.parametrize(
-        "parts,rev",
-        [((1, 4), (4, 1)), ((1, 6, 1), (1, 6, 1)), ((1, 2, 3), (3, 2, 1))],
-    )
-    def test_examples(self, parts, rev):
-        assert Composition(parts).reverse() == Composition(rev)
-
-    @given(words)
-    def test_involution(self, c):
-        assert c.reverse().reverse() == c
-        assert c.reverse().total == c.total
-
-
 class TestPalindrome:
     def test_examples(self):
         assert Composition((1, 3, 3, 1)).is_palindrome()
@@ -74,7 +60,7 @@ class TestPalindrome:
 
     @given(words)
     def test_matches_structural_definition(self, c):
-        assert c.is_palindrome() == (c == c.reverse())
+        assert c.is_palindrome() == (c == Composition(c.parts[::-1]))
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_count_is_two_to_half_n(self, n):
@@ -112,7 +98,7 @@ class TestPeriod:
         p = c.period()
         assert c.part_count % p == 0
         block = Composition(c.parts[:p])
-        assert block.repeat(c.part_count // p) == c
+        assert Composition(block.parts * (c.part_count // p)) == c
 
 
 class TestAperiodic:
@@ -123,19 +109,9 @@ class TestAperiodic:
 
 
 class TestRepeat:
-    def test_examples(self):
-        assert Composition((1, 2, 1)).repeat(2) == Composition((1, 2, 1, 1, 2, 1))
-        assert Composition((1,)).repeat(8) == Composition((1,) * 8)
-        c = Composition((3, 5, 12))
-        assert c.repeat(1) == c
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            Composition((1,)).repeat(0)
-
     @given(words, st.integers(min_value=1, max_value=4))
     def test_total_and_period_bound(self, c, r):
-        out = c.repeat(r)
+        out = Composition(c.parts * r)
         assert out.total == r * c.total
         assert out.period() <= c.part_count
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import sympy
 
@@ -17,6 +19,8 @@ from circomp.counting import (
     divisors,
     iter_family,
     moebius,
+    _TUPLES,
+    _dense_blocks,
     _gaps_of_mask,
     _reverse_bits,
     _set_of_mask,
@@ -221,6 +225,40 @@ class TestIterFamily:
             == count_aperiodic_palindromes(n)
         )
         assert sum(1 for _ in iter_family(n, "symmetric_connection_sets")) == count_palindromes(n)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_dense_families_match_the_per_mask_route(self, n):
+        masks = range(1 << (n - 1))
+        words = [_gaps_of_mask(n, m) for m in masks]
+        assert [c.parts for c in iter_family(n, "compositions")] == words
+        coprime = [w for w in words if math.gcd(*w) == 1]
+        assert [c.parts for c in iter_family(n, "prime_compositions")] == coprime
+        assert list(iter_family(n, "connection_sets")) == [_set_of_mask(n, m) for m in masks]
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 12, 13, 15])
+    def test_one_block_of_2_to_the_k_per_high_half(self, n):
+        k = min(10, n - 1)
+        for family in ("compositions", "connection_sets"):
+            sizes = [len(block) for block in _dense_blocks(n, family, _TUPLES)]
+            assert sizes == [1 << k] * (1 << (n - 1 - k))
+
+    @pytest.mark.parametrize("n", [1, 5, 11, 12, 14])
+    def test_trusted_objects_equal_and_hash_like_validated_ones(self, n):
+        for c in iter_family(n, "compositions"):
+            public = Composition(c.parts)
+            assert type(c) is Composition and c == public and hash(c) == hash(public)
+        for s in iter_family(n, "connection_sets"):
+            public = ConnectionSet(n, s.elements)
+            assert type(s) is ConnectionSet and s == public and hash(s) == hash(public)
+
+    def test_huge_order_streams_from_the_first_block(self):
+        n = 10**6
+        words = iter_family(n, "compositions")
+        assert [next(words).parts, next(words).parts] == [(n,), (1, n - 1)]
+        sets = iter_family(n, "connection_sets")
+        assert [next(sets).elements, next(sets).elements] == [(0,), (0, 1)]
 
 
 class TestCountTable:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from circomp import counting, verify
+from circomp.compositions import Composition
 from circomp.verify import (
     PUBLISHED_72_CONNECTED,
     PUBLISHED_72_DISCONNECTED,
@@ -21,6 +22,11 @@ def literal_gcd_connected(s):
 def low_masks(n):
     """Deliberately broken generator: the right number of masks, mostly the wrong ones."""
     return iter(range(1 << (n // 2)))
+
+
+def without_word_7(n, family):
+    """Deliberately broken stream: the word 7, alone in its gcd class, goes missing."""
+    return (c for c in counting.iter_family(n, family) if c != Composition((7,)))
 
 
 class TestRunSuites:
@@ -94,6 +100,33 @@ class TestFaultInjection:
         assert not result.passed
         assert result.checked == 2
         assert result.counterexample == "n=3, word 1,2: 1,2 is not a palindrome"
+
+    def test_a_missing_gcd_class_fails_the_scaling_bijection(self, monkeypatch):
+        monkeypatch.setattr(verify, "iter_family", without_word_7)
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["common-factor scaling bijection"]
+        assert not result.passed
+        assert result.checked == 126  # 2^0 + ... + 2^5 words, then the 63 left at n = 7
+        assert result.counterexample == "n=7, d=7: image mismatch"
+
+    def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
+        # Lower p_L by one in every low half with exactly two nonzero elements,
+        # so only their boundary gap (for sets, boundary element) is wrong.
+        low_table = counting._low_table
+        monkeypatch.setattr(counting, "_low_table", lambda k, sets, spell: [
+            (low, p - (len(low) == 2), d) for low, p, d in low_table(k, sets, spell)
+        ])
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["count formulas vs enumeration"]
+        assert not result.passed
+        assert result.counterexample == "n=3, mask 3: the kernel gives 1,1,2, the mask route 1,1,1"
+        result = results["gap-word round trips"]
+        assert not result.passed
+        assert result.counterexample == "n=3, mask 3: the kernel gives 3: 0,1,1, the mask route 3: 0,1,2"
+        # Suites without the comparison fail on the malformed set; none raises.
+        result = results["gcd preservation"]
+        assert not result.passed
+        assert result.counterexample == "n=3: parts must be positive integers: (1, 0, 2)"
 
 
 class TestOrder72:
