@@ -71,8 +71,13 @@ class ConnectionSet:
         return ConnectionSet(n, tuple(sorted((n - a) % n for a in self.elements)))
 
     def is_symmetric(self) -> bool:
-        """True iff the set equals its negation, i.e. it defines a graph."""
-        return self.elements == self.inverse().elements
+        """True iff the set equals its negation, i.e. it defines a graph.
+
+        Negation reverses the order of the nonzero elements, so the set
+        is symmetric iff they pair up end to end into sums of n.
+        """
+        n, rest = self.modulus, self.elements[1:]
+        return all(a + b == n for a, b in zip(rest, reversed(rest)))
 
     def gcd(self) -> int:
         """gcd of the elements taken together with the modulus; divides n.
@@ -122,23 +127,37 @@ class CirculantDigraph:
         return self.connection.elements[1:]
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
+        """Targets of i's arcs, ascending; the per-vertex reference for the runs."""
         n = self.order
         return tuple(sorted((i + s) % n for s in self.steps))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Every arc, sorted by (source, target)."""
-        for i in range(self.order):
-            for j in self.out_neighbors(i):
-                yield (i, j)
+        return _pairs_of(self._runs(pairs=False))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered adjacent pairs, each once, sorted by (low, high) endpoint."""
-        n = self.order
-        offsets = set(self.steps) | {n - s for s in self.steps}
-        for i in range(n):
-            for j in sorted({(i + s) % n for s in offsets}):
-                if j > i:
-                    yield (i, j)
+        return _pairs_of(self._runs(pairs=True))
+
+    def _runs(self, pairs: bool) -> Iterator[tuple[range, tuple[int, ...]]]:
+        """Vertex runs, ascending, each with the target offsets its vertices share.
+
+        Vertex i reaches i + o for every offset o: the steps for arcs,
+        and for pairs also their negations n - s. Once i >= n - o the
+        target wraps round to i + o - n, so the cut points n - o split
+        0..n-1 into runs in which every vertex has the same ascending
+        offsets: the wrapped ones o - n first, then the plain ones. For
+        pairs a wrapped target lies below i, so it is dropped; the pair
+        is spelled from its low end.
+        """
+        n, steps = self.order, self.steps
+        offsets = tuple(sorted(set(steps) | {n - s for s in steps})) if pairs else steps
+        wrapped = () if pairs else tuple(o - n for o in offsets)
+        lo = 0
+        for plain in range(len(offsets), -1, -1):
+            hi = n - offsets[plain - 1] if plain else n
+            yield range(lo, hi), wrapped[plain:] + offsets[:plain]
+            lo = hi
 
     def is_connected(self) -> bool:
         """Traversal oracle: every vertex reachable from 0, arcs followed both ways."""
@@ -164,6 +183,14 @@ class CirculantDigraph:
                     count += 1
                     stack.append(j)
         return count == n
+
+
+def _pairs_of(runs: Iterator[tuple[range, tuple[int, ...]]]) -> Iterator[tuple[int, int]]:
+    """The (source, target) pairs of the runs, in order."""
+    for vertices, offsets in runs:
+        for i in vertices:
+            for o in offsets:
+                yield (i, i + o)
 
 
 def build_digraph(connection: ConnectionSet) -> CirculantDigraph:

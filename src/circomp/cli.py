@@ -8,6 +8,7 @@ deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -32,7 +33,7 @@ from .verify import run_suites
 
 
 def handle_count(args: argparse.Namespace) -> int:
-    print(counting._FAMILY_TABLE[args.family.replace("-", "_")].count(args.n))
+    print(counting._printed_count(args.n, args.family.replace("-", "_")))
     return 0
 
 
@@ -114,12 +115,19 @@ def handle_graph(args: argparse.Namespace) -> int:
 
 
 def handle_table(args: argparse.Namespace) -> int:
-    rows = [vars(row) for row in counting.count_table(args.max_n)]
+    rows = counting._decimal_rows(args.max_n)
+    columns = [field.name for field in dataclasses.fields(counting.CountRow)]
     if args.format == "json":
-        print(json.dumps(rows))
+        # The bytes of json.dumps(list of row dicts), written row by row.
+        row = "{{" + ", ".join(f"{json.dumps(col)}: {{}}" for col in columns) + "}}"
+        lead = "["
+        for values in rows:
+            sys.stdout.write(lead + row.format(*map(str, values)))
+            lead = ", "
+        print("]")
         return 0
-    cells = [[col.replace("_", "-") for col in rows[0]]]
-    cells += [[str(value) for value in row.values()] for row in rows]
+    cells = [[col.replace("_", "-") for col in columns]]
+    cells += [list(map(str, values)) for values in rows]
     widths = [max(map(len, column)) for column in zip(*cells)]
     for line in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
@@ -142,25 +150,51 @@ def handle_verify(args: argparse.Namespace) -> int:
 def render_dot(graph: CirculantDigraph, out: TextIO) -> None:
     """Write Graphviz text: vertex lines first, then sorted arc or edge lines."""
     keyword, joiner = ("digraph", "->") if graph.directed else ("graph", "--")
-    pairs = graph.arcs() if graph.directed else graph.edges()
-    _write_chunked(itertools.chain(
-        [f"{keyword} {{\n"],
-        (f"  {v};\n" for v in range(graph.order)),
-        (f"  {i} {joiner} {j};\n" for i, j in pairs),
-        ["}\n"],
-    ), out)
+    out.write(f"{keyword} {{\n")
+    for lo in range(0, graph.order, _CHUNK):
+        out.write("".join(map("  {};\n".format, range(lo, min(lo + _CHUNK, graph.order)))))
+    _write_runs(graph, f"  {{0}} {joiner} {{1}};\n", out)
+    out.write("}\n")
 
 
 def render_edgelist(graph: CirculantDigraph, out: TextIO) -> None:
     """Write one "i j" line per arc (digraph) or per unordered edge (graph)."""
-    pairs = graph.arcs() if graph.directed else graph.edges()
-    _write_chunked((f"{i} {j}\n" for i, j in pairs), out)
+    _write_runs(graph, "{0} {1}\n", out)
 
 
-def _write_chunked(lines: Iterator[str], out: TextIO) -> None:
-    """Write the lines 2^14 at a time: bounded memory, one write per chunk."""
-    while chunk := "".join(itertools.islice(lines, 1 << 14)):
-        out.write(chunk)
+_CHUNK = 1 << 14  # lines per write, unless one vertex has more
+_WIDE = 16  # offsets above which a vertex's lines are joined, not spelled by a template
+
+
+def _write_runs(graph: CirculantDigraph, pair: str, out: TextIO) -> None:
+    """Write the arcs (digraph) or edges (graph), each spelled by `pair` from {0} and {1}.
+
+    Every vertex of a run has the same ascending target offsets. With
+    few offsets, one template with a field per offset spells all of a
+    vertex's lines, mapped over ranges of sources and targets. With
+    many, runs are short and a template's fields cost more than they
+    save, so each vertex joins the digits of its targets instead. No
+    Python code runs per line, and a write holds whole vertices: at most
+    _CHUNK lines, unless one vertex has more.
+    """
+    head, tail = pair.split("{1}")
+    for vertices, offsets in graph._runs(pairs=not graph.directed):
+        if not offsets:
+            continue
+        wide = len(offsets) > _WIDE
+        if not wide:
+            spell = "".join(pair.format("{0}", f"{{{k}}}") for k in range(1, len(offsets) + 1)).format
+        step = max(1, _CHUNK // len(offsets))
+        for lo in range(vertices.start, vertices.stop, step):
+            hi = min(lo + step, vertices.stop)
+            if wide:
+                starts = map(head.format, range(lo, hi))
+                lines = (s + (tail + s).join(map(str, map(i.__add__, offsets))) + tail
+                         for i, s in zip(range(lo, hi), starts))
+            else:
+                targets = map(range, map(lo.__add__, offsets), map(hi.__add__, offsets))
+                lines = map(spell, range(lo, hi), *targets)
+            out.write("".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -356,6 +356,63 @@ def count_table(max_n: int) -> list[CountRow]:
     return [count_row(n) for n in range(1, max_n + 1)]
 
 
+_DECIMAL_FROM = 10_000  # `count` prints Decimals from this order up (3011 digits), ints below
+_COUNT_MAX_N = 10**8  # the largest order `count` prints: 30103000 digits in about 12 s
+
+
+def _decimal_row(n: int, two: Callable[[int], Any]) -> tuple[Any, ...]:
+    """count_row's five counts at n >= 1 as exact Decimals; two(k) returns 2^k.
+
+    Every count is a signed sum of powers of two. The context adds them
+    up exactly (an inexact step would raise), and str(Decimal) is linear
+    in the digits where CPython 3.11's str(int) is quadratic.
+    """
+    import decimal
+
+    def palindromes(d: int) -> Any:
+        return two(d // 2) if d > 1 else two(0)
+
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    with decimal.localcontext(exact):
+        compositions = two(n - 1)
+        prime, aperiodic = _moebius_sums(n, lambda d: two(d - 1), palindromes)
+        return compositions, prime, compositions - prime, palindromes(n), aperiodic
+
+
+def _decimal_rows(max_n: int) -> Iterator[tuple[Any, ...]]:
+    """(n, *_decimal_row(n)) for n = 1..max_n, over one doubling table of powers of two."""
+    import decimal
+
+    _require_positive(max_n)
+    powers = [decimal.Decimal(1)]
+
+    def two(k: int) -> Any:
+        while len(powers) <= k:
+            powers.append(powers[-1] + powers[-1])
+        return powers[k]
+
+    return ((n, *_decimal_row(n, two)) for n in range(1, max_n + 1))
+
+
+def _printed_count(n: int, family: str) -> Any:
+    """The family's count at order n as `count` prints it, exactly.
+
+    Below _DECIMAL_FROM the int count function answers and raises the
+    domain errors; from there up to _COUNT_MAX_N, the Decimal from
+    _decimal_row. A larger order is refused before any work starts.
+    """
+    if n > _COUNT_MAX_N:
+        raise ValueError(f"count prints orders up to {_COUNT_MAX_N}, got {n}")
+    if n < _DECIMAL_FROM:
+        return _FAMILY_TABLE[family].count(n)
+    import decimal
+
+    counted = [name for name, entry in _FAMILY_TABLE.items() if entry.count]
+    return _decimal_row(n, decimal.Decimal(2).__pow__)[counted.index(family)]
+
+
 def _require_positive(n: int) -> None:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")

@@ -163,7 +163,7 @@ def _palindrome_bijection(n: int) -> Checks:
         yield 0, f"n={n}: images collide"
     if set(images) != targets:
         stray = set(images) ^ targets
-        yield 0, f"n={n}: image mismatch at {min(stray)}"
+        yield 0, f"n={n}: image mismatch at {min(stray, key=lambda s: s.elements)}"
     if len(aperiodic) != count_aperiodic_palindromes(n):
         yield 0, f"n={n}: {len(aperiodic)} enumerated vs {count_aperiodic_palindromes(n)} counted"
     for c in aperiodic:

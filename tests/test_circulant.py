@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,12 @@ class TestSymmetry:
         assert sum(1 for s in all_sets(n) if s.is_symmetric()) == 2 ** (n // 2)
 
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_negated_set(self, n):
+        for s in all_sets(n):
+            assert s.is_symmetric() == (s.elements == s.inverse().elements)
+
+
 class TestGcd:
     @pytest.mark.parametrize(
         "n,elems,g",
@@ -146,6 +154,61 @@ class TestGraph:
     def test_rejects_asymmetric_set(self):
         with pytest.raises(ValueError):
             build_graph(ConnectionSet(5, (0, 1)))
+
+
+def arc_rule(g):
+    """The arcs i -> i + s mod n, sorted: the definition, with no runs."""
+    n = g.order
+    return sorted((i, (i + s) % n) for i in range(n) for s in g.steps)
+
+
+def edge_rule(g):
+    """Each unordered pair {i, i + s mod n} once, low end first, sorted."""
+    return sorted({tuple(sorted(arc)) for arc in arc_rule(g)})
+
+
+def many_step_sets(count, seed):
+    """Random sets up to n = 300 with up to n - 1 steps, and their symmetric closures."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 301)
+        members = {0, *rng.sample(range(1, n), rng.randrange(1, n))}
+        yield ConnectionSet.from_members(n, members)
+        yield ConnectionSet.from_members(n, members | {n - m for m in members})
+
+
+class TestRuns:
+    def check(self, s):
+        g = build_digraph(s)
+        arcs = list(g.arcs())
+        assert arcs == arc_rule(g)
+        assert arcs == [(i, j) for i in range(s.modulus) for j in g.out_neighbors(i)]
+        assert list(g.edges()) == edge_rule(g)
+        if s.is_symmetric():
+            assert list(build_graph(s).edges()) == edge_rule(g)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_set_to_10(self, n):
+        for s in all_sets(n):
+            self.check(s)
+
+    def test_random_sets_with_many_steps_to_300(self):
+        for s in many_step_sets(12, seed=7):
+            self.check(s)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_runs_tile_the_vertices(self, n):
+        for s in all_sets(n):
+            for pairs in (False, True):
+                runs = list(build_digraph(s)._runs(pairs))
+                assert [v for vertices, _ in runs for v in vertices] == list(range(n))
+                assert all(len(vertices) > 0 for vertices, _ in runs)
+
+    def test_single_vertex_and_empty_steps(self):
+        for s in (ConnectionSet(1, (0,)), ConnectionSet(6, (0,))):
+            g = build_digraph(s)
+            assert list(g.arcs()) == [] and list(g.edges()) == []
+            assert list(build_graph(s).edges()) == []
 
 
 class TestConnectivity:

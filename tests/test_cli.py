@@ -1,14 +1,15 @@
 import argparse
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circomp import counting
-from circomp.circulant import ConnectionSet, build_digraph
+from circomp import cli, counting
+from circomp.circulant import ConnectionSet, build_digraph, build_graph
 from circomp.compositions import Composition
 from circomp.cli import build_parser, main, render_dot, render_edgelist
 
@@ -77,6 +78,8 @@ class TestTooLarge:
             ("count", "prime-compositions", "1000000000000000003"),
             ("count", "disconnected", "1000000000000000003"),
             ("count", "aperiodic-palindromes", "1000000000000000003"),
+            # Just above the order `count` prints: refused before any work.
+            ("count", "compositions", str(counting._COUNT_MAX_N + 1)),
         ],
     )
     def test_exits_2_with_one_line(self, argv):
@@ -295,6 +298,71 @@ class WriteLog:
         return len(s)
 
 
+def rule_text(render, graph):
+    """What a renderer must write, from the arc rule i -> i + s and out_neighbors."""
+    n = graph.order
+    arcs = sorted((i, (i + s) % n) for i in range(n) for s in graph.steps)
+    assert arcs == [(i, j) for i in range(n) for j in graph.out_neighbors(i)]
+    pairs = arcs if graph.directed else sorted({tuple(sorted(arc)) for arc in arcs})
+    if render is render_edgelist:
+        return "".join(f"{i} {j}\n" for i, j in pairs)
+    keyword, joiner = ("digraph", "->") if graph.directed else ("graph", "--")
+    return (f"{keyword} {{\n" + "".join(f"  {v};\n" for v in range(n))
+            + "".join(f"  {i} {joiner} {j};\n" for i, j in pairs) + "}\n")
+
+
+def both_modes(s):
+    yield build_digraph(s)
+    if s.is_symmetric():
+        yield build_graph(s)
+
+
+def rendered_text(render, graph):
+    out = io.StringIO()
+    render(graph, out)
+    return out.getvalue()
+
+
+class TestRenderedRuns:
+    @pytest.mark.parametrize("render", [render_dot, render_edgelist])
+    def test_every_set_to_10_in_both_modes(self, render):
+        for n in range(1, 11):
+            for mask in range(1 << (n - 1)):
+                s = ConnectionSet(n, (0,) + tuple(i + 1 for i in range(n - 1) if mask >> i & 1))
+                for graph in both_modes(s):
+                    assert rendered_text(render, graph) == rule_text(render, graph)
+
+    @pytest.mark.parametrize("render", [render_dot, render_edgelist])
+    def test_random_sets_with_many_steps_to_300(self, render):
+        rng = random.Random(11)
+        for _ in range(6):
+            n = rng.randrange(2, 301)
+            members = {0, *rng.sample(range(1, n), rng.randrange(1, n))}
+            for s in (ConnectionSet.from_members(n, members),
+                      ConnectionSet.from_members(n, members | {n - m for m in members})):
+                for graph in both_modes(s):
+                    assert rendered_text(render, graph) == rule_text(render, graph)
+
+    @pytest.mark.parametrize("render", [render_dot, render_edgelist])
+    def test_single_vertex_and_empty_steps(self, render):
+        for s in (ConnectionSet(1, (0,)), ConnectionSet(4, (0,))):
+            for graph in both_modes(s):
+                assert rendered_text(render, graph) == rule_text(render, graph)
+
+    @pytest.mark.parametrize("render", [render_dot, render_edgelist])
+    @pytest.mark.parametrize("steps", [(1, 5), tuple(range(1, 40, 2))])
+    def test_writes_hold_whole_vertices_up_to_the_chunk(self, monkeypatch, render, steps):
+        # 2 offsets take the template route, 20 the joined one.
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        graph = build_digraph(ConnectionSet(50, (0, *steps)))
+        out = WriteLog()
+        render(graph, out)
+        assert "".join(out.writes) == rule_text(render, graph)
+        arc_writes = [w for w in out.writes if "->" in w or render is render_edgelist]
+        assert all(w.count("\n") % len(steps) == 0 for w in arc_writes)
+        assert max(w.count("\n") for w in out.writes) <= max(7, len(steps))
+
+
 class TestTable:
     def test_known_rows(self):
         code, out, _ = run_cli("table", "15")
@@ -319,6 +387,19 @@ class TestTable:
     def test_rejects_nonpositive(self):
         code, _, _ = run_cli("table", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("max_n", [1, 2, 300])
+    def test_bytes_match_the_int_table(self, max_n):
+        rows = [vars(row) for row in counting.count_table(max_n)]
+        assert run_cli("table", str(max_n), "--format", "json") == (0, json.dumps(rows) + "\n", "")
+        cells = [[col.replace("_", "-") for col in rows[0]]]
+        cells += [[str(value) for value in row.values()] for row in rows]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        text = "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in cells)
+        assert run_cli("table", str(max_n)) == (0, text, "")
+
+    def test_json_writes_nothing_before_an_error(self):
+        assert run_cli("table", "0", "--format", "json") == (2, "", "error: order must be >= 1, got 0\n")
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit"

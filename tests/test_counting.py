@@ -1,8 +1,12 @@
+import decimal
+import json
 import math
+import sys
 
 import pytest
 import sympy
 
+from circomp import counting
 from circomp.compositions import Composition
 from circomp.circulant import ConnectionSet
 from circomp.bijections import gap_composition, prefix_sum_set
@@ -19,8 +23,12 @@ from circomp.counting import (
     divisors,
     iter_family,
     moebius,
+    _COUNT_MAX_N,
+    _DECIMAL_FROM,
     _TUPLES,
+    _decimal_rows,
     _dense_blocks,
+    _printed_count,
     _gaps_of_mask,
     _reverse_bits,
     _set_of_mask,
@@ -287,3 +295,67 @@ class TestCountTable:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             count_table(0)
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift CPython's int -> str digit limit, so the int route can spell any count."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+COUNTED = [name for name, family in counting._FAMILY_TABLE.items() if family.count]
+
+
+class TestDecimalRoute:
+    @pytest.mark.parametrize("max_n", [1, 2, 300, 5000])
+    def test_rows_spell_like_the_int_table(self, max_n):
+        rows = [vars(row) for row in count_table(max_n)]
+        decimal_rows = list(_decimal_rows(max_n))
+        assert [list(map(str, r)) for r in decimal_rows] == [list(map(str, r.values())) for r in rows]
+        spelled = ", ".join(
+            "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in zip(rows[0], r)) + "}"
+            for r in decimal_rows
+        )
+        assert "[" + spelled + "]" == json.dumps(rows)
+
+    def test_rows_reject_nonpositive_at_the_call(self):
+        with pytest.raises(ValueError):
+            _decimal_rows(0)
+
+    @pytest.mark.parametrize(
+        "n", [_DECIMAL_FROM - 1, _DECIMAL_FROM, _DECIMAL_FROM + 1, 10007, 15015, 16384, 30030]
+    )
+    def test_printed_counts_spell_like_the_int_counts(self, n, unlimited_int_str):
+        for family in COUNTED:
+            printed = _printed_count(n, family)
+            assert str(printed) == str(counting._FAMILY_TABLE[family].count(n))
+            assert type(printed) is (int if n < _DECIMAL_FROM else decimal.Decimal)
+
+    def test_a_million_has_every_digit(self):
+        n = 10**6
+        digits = str(_printed_count(n, "compositions"))
+        assert len(digits) == math.floor((n - 1) * math.log10(2)) + 1
+        assert int(digits[-40:]) == pow(2, n - 1, 10**40)
+        assert str(_printed_count(n, "palindromes")) == str(_printed_count(n // 2 + 1, "compositions"))
+
+    def test_small_orders_answer_and_fail_like_the_int_counts(self):
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return str(exc)
+
+        for family in COUNTED:
+            count = counting._FAMILY_TABLE[family].count
+            for n in (-3, 0, 1, 2, 3):
+                assert outcome(lambda: _printed_count(n, family)) == outcome(lambda: count(n))
+
+    def test_an_order_above_the_ceiling_is_refused(self):
+        for family in COUNTED:
+            with pytest.raises(ValueError, match=f"up to {_COUNT_MAX_N}"):
+                _printed_count(_COUNT_MAX_N + 1, family)

@@ -3,6 +3,8 @@ import math
 import pytest
 
 from circomp import counting, verify
+from circomp.bijections import gap_composition, prefix_sum_set
+from circomp.circulant import ConnectionSet
 from circomp.compositions import Composition
 from circomp.verify import (
     PUBLISHED_72_CONNECTED,
@@ -22,6 +24,14 @@ def literal_gcd_connected(s):
 def low_masks(n):
     """Deliberately broken generator: the right number of masks, mostly the wrong ones."""
     return iter(range(1 << (n // 2)))
+
+
+LOW_TABLE = counting._low_table
+
+
+def low_boundary_shifted(k, sets, spell):
+    """The kernel's low table with p_L one too low wherever L has two nonzero elements."""
+    return [(low, p - (len(low) == 2), d) for low, p, d in LOW_TABLE(k, sets, spell)]
 
 
 def without_word_7(n, family):
@@ -112,10 +122,7 @@ class TestFaultInjection:
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
         # so only their boundary gap (for sets, boundary element) is wrong.
-        low_table = counting._low_table
-        monkeypatch.setattr(counting, "_low_table", lambda k, sets, spell: [
-            (low, p - (len(low) == 2), d) for low, p, d in low_table(k, sets, spell)
-        ])
+        monkeypatch.setattr(counting, "_low_table", low_boundary_shifted)
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["count formulas vs enumeration"]
         assert not result.passed
@@ -127,6 +134,76 @@ class TestFaultInjection:
         result = results["gcd preservation"]
         assert not result.passed
         assert result.counterexample == "n=3: parts must be positive integers: (1, 0, 2)"
+
+
+def off_at_6(count):
+    """A count function that is one too high at n = 6 only."""
+    return lambda n: count(n) + (n == 6)
+
+
+def without(word):
+    """A stream of the named family with one composition missing."""
+    return lambda n, family: (c for c in counting.iter_family(n, family) if c != word)
+
+
+# name -> (owner, attribute, replacement): each mutant breaks one library function.
+MUTANTS = {
+    "gap word reversed": (
+        verify, "gap_composition", lambda s: Composition(gap_composition(s).parts[::-1])
+    ),
+    "prefix sums of the reversed word": (
+        verify, "prefix_sum_set", lambda c: prefix_sum_set(Composition(c.parts[::-1]))
+    ),
+    "tau without the rescaling": (verify, "connected_set_of", prefix_sum_set),
+    "tau inverse without the folding": (verify, "aperiodic_palindrome_of", gap_composition),
+    "divisors without n": (verify, "divisors", lambda n: counting.divisors(n)[:-1]),
+    "prime count off at 6": (
+        verify, "count_prime_compositions", off_at_6(counting.count_prime_compositions)
+    ),
+    "palindrome count off at 6": (verify, "count_palindromes", off_at_6(counting.count_palindromes)),
+    "aperiodic count off at 6": (
+        verify, "count_aperiodic_palindromes", off_at_6(counting.count_aperiodic_palindromes)
+    ),
+    "part counts shifted by one": (
+        verify, "count_compositions_with_parts", lambda n, k: math.comb(n - 1, k)
+    ),
+    "composition 2,3 dropped": (verify, "iter_family", without(Composition((2, 3)))),
+    "_symmetric_masks low half only": (counting, "_symmetric_masks", low_masks),
+    "gcd predicate ignores the modulus": (
+        ConnectionSet, "gcd", lambda self: math.gcd(*self.elements)
+    ),
+    "gcd class 7 dropped": (verify, "iter_family", without_word_7),
+    "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
+}
+
+
+class TestMutantMatrix:
+    def test_every_mutant_fails_some_suite(self):
+        names = [name for name, _, _ in SUITES]
+        kills = {}
+        for mutant, (owner, attr, replacement) in MUTANTS.items():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(owner, attr, replacement)
+                kills[mutant] = [not r.passed for r in run_suites(max_n=9)]
+        width = max(map(len, MUTANTS))
+        matrix = "\n".join(
+            [" " * width + "  " + " ".join(str(i) for i in range(len(names)))]
+            + [f"{m:<{width}}  " + " ".join("X" if k else "." for k in row) for m, row in kills.items()]
+            + [f"{i}: {name}" for i, name in enumerate(names)]
+        )
+        print(f"mutant x suite kill matrix at max_n = 9 (X: the suite fails)\n{matrix}")
+        assert all(any(row) for row in kills.values()), matrix
+
+
+class TestImageMismatch:
+    def test_names_the_first_stray_set_instead_of_raising(self, monkeypatch):
+        # Without the rescaling, the word 2 of n = 2 maps to {0}, which generates nothing.
+        monkeypatch.setattr(verify, "connected_set_of", prefix_sum_set)
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["aperiodic palindrome bijection"]
+        assert not result.passed
+        assert result.checked == 2
+        assert result.counterexample == "n=2: image mismatch at 2: 0"
 
 
 class TestOrder72:
