@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import operator
+import os
 import sys
 from typing import Iterator, Sequence, TextIO
 
@@ -30,7 +30,6 @@ from .bijections import (
     aperiodic_palindrome_of,
 )
 from . import counting
-from .verify import run_suites
 
 
 def handle_count(args: argparse.Namespace) -> int:
@@ -119,6 +118,8 @@ def handle_table(args: argparse.Namespace) -> int:
     columns = [field.name for field in dataclasses.fields(counting.CountRow)]
     rows = map(operator.attrgetter(*columns), counting._decimal_rows(args.max_n))
     if args.format == "json":
+        import json
+
         # The bytes of json.dumps(list of row dicts), written row by row.
         row = "{{" + ", ".join(f"{json.dumps(col)}: {{}}" for col in columns) + "}}"
         lead = "["
@@ -136,6 +137,9 @@ def handle_table(args: argparse.Namespace) -> int:
 
 
 def handle_verify(args: argparse.Namespace) -> int:
+    # Imported here, so that no other command loads the suites and the process pool.
+    from .verify import run_suites
+
     results = run_suites(max_n=args.max_n, workers=args.workers)
     for r in results:
         if r.passed:
@@ -273,7 +277,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader stopped on purpose (`| head`). Send what is still buffered
+        # to the null device, so that the flush at shutdown cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

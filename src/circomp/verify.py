@@ -244,6 +244,9 @@ def _scaling_bijection(n: int) -> Checks:
         target = {c.parts for c in iter_family(n // d, "compositions") if c.gcd() == 1}
         if images != target:
             yield 0, f"n={n}, d={d}: image mismatch"
+        # Sized by the closed form, so a word the stream drops from both sides fails.
+        if len(words) != count_prime_compositions(n // d):
+            yield 0, f"n={n}, d={d}: {len(words)} words vs {count_prime_compositions(n // d)} counted"
 
 
 def suite_order_72(_max_n: int | None = None) -> SuiteResult:

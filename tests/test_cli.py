@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -413,6 +415,55 @@ class TestTable:
             sys.set_int_max_str_digits(limit)
         assert code == 0
         assert json.loads(out)[-1]["compositions"] == 1 << 2199
+
+
+def child(*args, **kwargs):
+    """Start python with args, circomp importable, as a fresh process."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs
+    )
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("list", "compositions", "22"),
+            ("list", "palindromes", "30"),
+            ("graph", "1000000", "0,1", "--format", "edgelist"),
+        ],
+    )
+    def test_a_reader_that_stops_early_gets_exit_0_and_no_traceback(self, argv):
+        proc = child("-m", "circomp.cli", *argv)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+    def test_import_loads_no_suites_pool_or_json(self):
+        def loaded(code):
+            proc = child("-c", f"{code}; import sys; print(*sys.modules)", text=True)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            return set(out.split())
+
+        bare = loaded("pass")
+        added = loaded("import circomp.cli") - bare
+        assert "circomp.cli" in added
+        guarded = ("circomp.verify", "concurrent.futures", "multiprocessing", "json")
+        assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
+
+    def test_verify_still_loads_its_suites(self):
+        proc = child("-m", "circomp.cli", "verify", "--max-n", "4", text=True)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 10
+        assert all(line.startswith("PASS ") for line in lines)
 
 
 class TestVerify:

@@ -338,6 +338,18 @@ class TestDecimalRoute:
             assert str(printed) == str(counting._FAMILY_TABLE[family].count(n))
             assert type(printed) is (int if n < _DECIMAL_FROM else decimal.Decimal)
 
+    def test_printed_count_sums_only_what_its_family_needs(self, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("a Moebius sum was taken")
+
+        monkeypatch.setattr(counting, "_moebius_sums", no_sums)
+        n = 60000
+        digits = str(_printed_count(n, "compositions"))
+        assert int(digits[-30:]) == pow(2, n - 1, 10**30)
+        assert str(_printed_count(2 * n - 2, "palindromes")) == digits
+        with pytest.raises(AssertionError):
+            _printed_count(n, "prime_compositions")
+
     def test_a_million_has_every_digit(self):
         n = 10**6
         digits = str(_printed_count(n, "compositions"))

@@ -119,6 +119,14 @@ class TestFaultInjection:
         assert result.checked == 126  # 2^0 + ... + 2^5 words, then the 63 left at n = 7
         assert result.counterexample == "n=7, d=7: image mismatch"
 
+    def test_a_dropped_word_fails_the_scaling_bijection_by_its_class_size(self, monkeypatch):
+        monkeypatch.setattr(verify, "iter_family", without(Composition((2, 3))))
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["common-factor scaling bijection"]
+        assert not result.passed
+        assert result.checked == 30  # 2^0 + ... + 2^3 words, then the 15 left at n = 5
+        assert result.counterexample == "n=5, d=1: 14 words vs 15 counted"
+
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
         # so only their boundary gap (for sets, boundary element) is wrong.
@@ -193,6 +201,9 @@ class TestMutantMatrix:
         )
         print(f"mutant x suite kill matrix at max_n = 9 (X: the suite fails)\n{matrix}")
         assert all(any(row) for row in kills.values()), matrix
+        # The scaling suite sizes every gcd class by the closed form, so it
+        # also catches a dropped word whose class stays non-empty.
+        assert kills["composition 2,3 dropped"][names.index("common-factor scaling bijection")]
 
 
 class TestImageMismatch:
