@@ -1,10 +1,12 @@
 """Divisor and Moebius machinery, closed-form counts, and enumerators.
 
-All counts are exact Python integers, so they stay correct far past the
-64-bit range (2^(n-1) alone outgrows machine words at n = 65). The
-streaming enumerators generate every member of each counted family in a
-fixed bitmask order, giving the closed forms an independent exhaustive
-cross-check at small n.
+All counts are exact, so they stay correct far past the 64-bit range
+(2^(n-1) alone outgrows machine words at n = 65). Each count takes the
+builder of its powers of two as the keyword ``two``: by default two(k)
+is the Python integer 2^k, and the CLI passes exact Decimals, which it
+prints in linear time. The streaming enumerators generate every member
+of each counted family in a fixed bitmask order, giving the closed forms
+an independent exhaustive cross-check at small n.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def _moebius_sums(n: int, *fs: Callable[[int], int]) -> list[int]:
+def _moebius_sums(n: int, *fs: Callable[[int], Any]) -> list[Any]:
     """For each f, the sum of mu(n/d) f(d) over d | n, from one factorisation of n.
 
     Only squarefree n/d give nonzero terms: one per subset S of the
@@ -64,10 +66,13 @@ def _moebius_sums(n: int, *fs: Callable[[int], int]) -> list[int]:
     return [s + sum(mu * f(d) for d, mu in terms[1:]) for s, f in zip(sums, fs)]
 
 
-def count_compositions(n: int) -> int:
+_TWO = (1).__lshift__  # two(k) = 2^k as an int, the counts' default builder
+
+
+def count_compositions(n: int, *, two: Callable[[int], Any] = _TWO) -> Any:
     """2^(n-1) ordered words of positive parts summing to n."""
     _require_positive(n)
-    return 1 << (n - 1)
+    return two(n - 1)
 
 
 def count_compositions_with_parts(n: int, k: int) -> int:
@@ -78,34 +83,35 @@ def count_compositions_with_parts(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1)
 
 
-def count_prime_compositions(n: int) -> int:
+def count_prime_compositions(n: int, *, two: Callable[[int], Any] = _TWO) -> Any:
     """Compositions of n with coprime parts: sum of mu(n/d) 2^(d-1) over d | n.
 
     Equals the number of connected circulant digraphs of order n.
     """
-    return _moebius_sums(n, count_compositions)[0]
+    return _moebius_sums(n, lambda d: count_compositions(d, two=two))[0]
 
 
-def count_disconnected_compositions(n: int) -> int:
+def count_disconnected_compositions(n: int, *, two: Callable[[int], Any] = _TWO) -> Any:
     """Compositions of n whose parts share a factor: the complement of prime.
 
     Equals the sum of count_prime_compositions over the proper divisors
     of n, and the number of disconnected circulant digraphs of order n.
     """
-    return count_compositions(n) - count_prime_compositions(n)
+    return count_compositions(n, two=two) - count_prime_compositions(n, two=two)
 
 
-def count_palindromes(n: int) -> int:
+def count_palindromes(n: int, *, two: Callable[[int], Any] = _TWO) -> Any:
     """2^floor(n/2) palindromic compositions of n >= 2; 1 for n = 1.
 
     The n = 1 value is a convention (the one-part word 1 is its own
-    reversal); the closed form is stated for n >= 2.
+    reversal); the closed form is stated for n >= 2, and gives 2^0 = 1
+    at n = 1 as well.
     """
     _require_positive(n)
-    return 1 if n == 1 else 1 << (n // 2)
+    return two(n // 2)
 
 
-def count_aperiodic_palindromes(n: int) -> int:
+def count_aperiodic_palindromes(n: int, *, two: Callable[[int], Any] = _TWO) -> Any:
     """Aperiodic palindromes of n: sum of mu(n/d) (2^floor(d/2) - 1) over d | n.
 
     Equals the number of connected circulant graphs of order n; defined
@@ -114,7 +120,7 @@ def count_aperiodic_palindromes(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"aperiodic palindromes are counted for n >= 2, got {n}")
-    return _moebius_sums(n, count_palindromes)[0]
+    return _moebius_sums(n, lambda d: count_palindromes(d, two=two))[0]
 
 
 def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[ConnectionSet]:
@@ -291,7 +297,7 @@ def _reverse_bits(mask: int, width: int) -> int:
 
 
 class _Family(NamedTuple):
-    count: Callable[[int], int] | None  # None: the family is listed only
+    count: Callable[..., Any] | None  # n, *, two -> the count; None: the family is listed only
     members: Callable[[int], Iterator[Any]] | None  # None: counted only
     min_n: int  # smallest order the members are listed at
     dense: bool = False  # listed by the block kernel, _dense_blocks
@@ -331,21 +337,25 @@ CountRow = make_dataclass(
 )
 
 
-def count_row(n: int) -> CountRow:
+def count_row(n: int, *, two: Callable[[int], Any] = _TWO) -> CountRow:
     """All five counts at order n, from one factorisation of n.
 
     The n = 1 palindromic entries are both 1 by the single-word
     convention; the raw count_aperiodic_palindromes still rejects n < 2.
     At n = 1 the Moebius sum is the single term count_palindromes(1) = 1.
     """
-    compositions = count_compositions(n)
-    prime, aperiodic = _moebius_sums(n, count_compositions, count_palindromes)
+    compositions = count_compositions(n, two=two)
+    # Lambdas, not partials: a partial with a keyword copies a dict on every
+    # call, which made the rows of `table 5000` about a fifth slower.
+    prime, aperiodic = _moebius_sums(
+        n, lambda d: count_compositions(d, two=two), lambda d: count_palindromes(d, two=two)
+    )
     return CountRow(
         n=n,
         compositions=compositions,
         prime_compositions=prime,
         disconnected=compositions - prime,
-        palindromes=count_palindromes(n),
+        palindromes=count_palindromes(n, two=two),
         aperiodic_palindromes=aperiodic,
     )
 
@@ -363,41 +373,13 @@ _DECIMAL_FROM = 50_000
 _COUNT_MAX_N = 10**8  # the largest order `count` prints: 30103000 digits in about 3 s
 
 
-def _decimal_row(n: int, two: Callable[[int], Any]) -> CountRow:
-    """count_row(n) with the counts as exact Decimals; two(k) returns 2^k.
+def _exact_decimals() -> Any:
+    """A local context in which sums of Decimal powers of two stay exact.
 
     Every count is a signed sum of powers of two. The context adds them
     up exactly (an inexact step would raise), and str(Decimal) is linear
     in the digits where CPython 3.11's str(int) is quadratic.
     """
-    with _exact_decimals():
-        compositions = two(n - 1)
-        prime, aperiodic = _moebius_sums(n, lambda d: two(d - 1), lambda d: two(d // 2))
-        return CountRow(
-            n=n,
-            compositions=compositions,
-            prime_compositions=prime,
-            disconnected=compositions - prime,
-            palindromes=two(n // 2),
-            aperiodic_palindromes=aperiodic,
-        )
-
-
-def _decimal_count(n: int, family: str, two: Callable[[int], Any]) -> Any:
-    """One counted family's entry of _decimal_row(n), raising only the powers it sums."""
-    with _exact_decimals():
-        if family == "compositions":
-            return two(n - 1)
-        if family == "palindromes":
-            return two(n // 2)
-        if family == "aperiodic_palindromes":
-            return _moebius_sums(n, lambda d: two(d // 2))[0]
-        prime = _moebius_sums(n, lambda d: two(d - 1))[0]
-        return prime if family == "prime_compositions" else two(n - 1) - prime
-
-
-def _exact_decimals() -> Any:
-    """A local context in which sums of Decimal powers of two stay exact."""
     import decimal
 
     return decimal.localcontext(decimal.Context(
@@ -406,35 +388,42 @@ def _exact_decimals() -> Any:
 
 
 def _decimal_rows(max_n: int) -> Iterator[CountRow]:
-    """_decimal_row(n) for n = 1..max_n, over one doubling table of powers of two."""
+    """count_row(n) in exact Decimals for n = 1..max_n.
+
+    The powers of two come from one doubling table, grown row by row.
+    """
     import decimal
 
     _require_positive(max_n)
     powers = [decimal.Decimal(1)]
 
-    def two(k: int) -> Any:
-        while len(powers) <= k:
-            powers.append(powers[-1] + powers[-1])
-        return powers[k]
+    def row(n: int) -> CountRow:
+        # Returns inside the context, so no consumer runs in it between rows.
+        with _exact_decimals():
+            while len(powers) < n:  # row n sums powers of two up to 2^(n-1)
+                powers.append(powers[-1] + powers[-1])
+            return count_row(n, two=powers.__getitem__)
 
-    return (_decimal_row(n, two) for n in range(1, max_n + 1))
+    return map(row, range(1, max_n + 1))
 
 
 def _printed_count(n: int, family: str) -> Any:
     """The family's count at order n as `count` prints it, exactly.
 
-    Below _DECIMAL_FROM the int count function answers and raises the
-    domain errors; from there up to _COUNT_MAX_N, the Decimal from
-    _decimal_count, with each power of two it sums raised once. A larger
-    order is refused before any work starts.
+    Below _DECIMAL_FROM the int count answers and raises the domain
+    errors; from there up to _COUNT_MAX_N, the same count in exact
+    Decimals, with each power of two it sums raised once. A larger order
+    is refused before any work starts.
     """
     if n > _COUNT_MAX_N:
         raise ValueError(f"count prints orders up to {_COUNT_MAX_N}, got {n}")
+    count = _FAMILY_TABLE[family].count
     if n < _DECIMAL_FROM:
-        return _FAMILY_TABLE[family].count(n)
+        return count(n)
     import decimal
 
-    return _decimal_count(n, family, cache(decimal.Decimal(2).__pow__))
+    with _exact_decimals():
+        return count(n, two=cache(decimal.Decimal(2).__pow__))
 
 
 def _require_positive(n: int) -> None:

@@ -15,7 +15,7 @@ from itertools import zip_longest
 from typing import Any, Callable, Iterator
 
 from .compositions import Composition
-from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
+from .circulant import build_digraph, is_connected_by_gcd
 from .bijections import aperiodic_palindrome_of, connected_set_of, gap_composition, prefix_sum_set
 from .counting import (
     count_aperiodic_palindromes,
@@ -113,39 +113,30 @@ def _gcd_preservation(n: int) -> Checks:
 
 
 def _symmetry_palindrome(n: int) -> Checks:
-    """A set is symmetric exactly when its gap word is a palindrome."""
+    """A set is symmetric exactly when its gap word is a palindrome.
+
+    The symmetric sets are also counted, and must number count_palindromes(n).
+    """
+    symmetric = 0
     for s in iter_family(n, "connection_sets"):
-        yield 1, f"n={n}, set {s}" if s.is_symmetric() != gap_composition(s).is_palindrome() else None
+        is_symmetric = s.is_symmetric()
+        symmetric += is_symmetric
+        yield 1, f"n={n}, set {s}" if is_symmetric != gap_composition(s).is_palindrome() else None
+    if symmetric != count_palindromes(n):
+        yield 0, f"n={n}: {symmetric} symmetric sets vs {count_palindromes(n)} counted"
 
 
-def _connectivity(
-    n: int,
-    strong_max_n: int = 10,
-    connected_by_gcd: Callable[[ConnectionSet], bool] = is_connected_by_gcd,
-) -> Checks:
-    """The gcd criterion agrees with traversal on every set; weak equals strong."""
+def _connectivity(n: int) -> Checks:
+    """The gcd criterion agrees with traversal on every set; weak equals strong up to n = 10."""
     for s in iter_family(n, "connection_sets"):
         g = build_digraph(s)
         weak = g.is_connected()
-        if connected_by_gcd(s) != weak:
-            yield 1, f"n={n}, set {s}: gcd criterion {connected_by_gcd(s)}, traversal {weak}"
-        elif n <= strong_max_n and g.is_strongly_connected() != weak:
+        if is_connected_by_gcd(s) != weak:
+            yield 1, f"n={n}, set {s}: gcd criterion {is_connected_by_gcd(s)}, traversal {weak}"
+        elif n <= 10 and g.is_strongly_connected() != weak:
             yield 1, f"n={n}, set {s}: weak != strong"
         else:
             yield 1, None
-
-
-def suite_connectivity(
-    max_n: int = 12,
-    min_n: int = 1,
-    strong_max_n: int = 10,
-    connected_by_gcd: Callable[[ConnectionSet], bool] = is_connected_by_gcd,
-) -> SuiteResult:
-    """Run the connectivity checks for n = min_n..max_n; ``connected_by_gcd``
-    is injectable so a broken variant can be shown to fail with a named witness.
-    """
-    checks = partial(_connectivity, strong_max_n=strong_max_n, connected_by_gcd=connected_by_gcd)
-    return _run_suite(_CONNECTIVITY, checks, min_n, max_n)
 
 
 def _palindrome_bijection(n: int) -> Checks:
@@ -268,7 +259,6 @@ def suite_order_72(_max_n: int | None = None) -> SuiteResult:
     return SuiteResult(_ORDER_72, ok, 3, counterexample, detail)
 
 
-_CONNECTIVITY = "connectivity oracle agreement"
 _ORDER_72 = "order-72 recomputation"
 
 # (display name, per-order checks, first order, default ceiling); a
@@ -278,7 +268,7 @@ _SUITE_TABLE = (
     ("gap-word round trips", _round_trips, 1, 14),
     ("gcd preservation", _gcd_preservation, 1, 14),
     ("symmetry vs palindromicity", _symmetry_palindrome, 1, 14),
-    (_CONNECTIVITY, _connectivity, 1, 12),
+    ("connectivity oracle agreement", _connectivity, 1, 12),
     ("aperiodic palindrome bijection", _palindrome_bijection, 2, 16),
     ("count formulas vs enumeration", _count_oracles, 1, 20),
     ("divisor-sum inversion identity", _moebius_inversion, 1, 64),

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circomp import cli, counting
-from circomp.circulant import ConnectionSet, build_digraph, build_graph
+from circomp.circulant import CirculantDigraph, ConnectionSet, build_digraph, build_graph
 from circomp.compositions import Composition
 from circomp.cli import build_parser, main, render_dot, render_edgelist
 
@@ -464,6 +465,35 @@ class TestFreshProcess:
         lines = out.splitlines()
         assert len(lines) == 10
         assert all(line.startswith("PASS ") for line in lines)
+
+
+def circomp_bindings():
+    """Every attribute of the circomp modules and of the traced classes, by owner and name."""
+    owners = [m for name, m in sys.modules.items() if name.split(".")[0] == "circomp"]
+    owners += [Composition, ConnectionSet, CirculantDigraph]
+    return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+class TestBenchmarkTraceHooks:
+    def test_the_tracer_finds_every_name_it_wraps_and_restores_it(self, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        layers = importlib.import_module("layers")
+        importlib.import_module("circomp.verify")  # the tracer wraps it, so snapshot it too
+        before = circomp_bindings()
+        tracer = layers.Tracer()
+        try:
+            tracer.install()
+            wrapped = {key for key, value in circomp_bindings().items() if value is not before[key]}
+        finally:
+            tracer.remove()
+        names = {f"{owner.__name__}.{attr}" for owner, attr in wrapped}
+        for name in ("divisors", "moebius", "count_row", "count_table", "iter_family"):
+            assert f"circomp.counting.{name}" in names
+        assert {"circomp.verify.SUITES", "circomp.cli.main", "Composition.__init__"} <= names
+        after = circomp_bindings()
+        assert after.keys() == before.keys()
+        assert [key for key, value in before.items() if after[key] is not value] == []
 
 
 class TestVerify:

@@ -311,6 +311,35 @@ def unlimited_int_str():
 COUNTED = [name for name, family in counting._FAMILY_TABLE.items() if family.count]
 
 
+def outcome(call):
+    """The call's result, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def decimal_doubling():
+    """A power-of-two builder over exact Decimals, each 2^k the double of 2^(k-1)."""
+    powers = [decimal.Decimal(1)]
+
+    def two(k):
+        while len(powers) <= k:
+            powers.append(powers[-1] * 2)
+        return powers[k]
+
+    return two
+
+
+class TestPowerOfTwoBuilder:
+    @pytest.mark.parametrize("family", COUNTED)
+    def test_decimal_powers_give_the_int_counts_and_errors(self, family):
+        count, two = counting._FAMILY_TABLE[family].count, decimal_doubling()
+        with counting._exact_decimals():
+            for n in range(-3, 301):
+                assert str(outcome(lambda: count(n, two=two))) == str(outcome(lambda: count(n)))
+
+
 class TestDecimalRoute:
     @pytest.mark.parametrize("max_n", [1, 2, 300, 5000])
     def test_rows_spell_like_the_int_table(self, max_n):
@@ -358,12 +387,6 @@ class TestDecimalRoute:
         assert str(_printed_count(n, "palindromes")) == str(_printed_count(n // 2 + 1, "compositions"))
 
     def test_small_orders_answer_and_fail_like_the_int_counts(self):
-        def outcome(call):
-            try:
-                return call()
-            except ValueError as exc:
-                return str(exc)
-
         for family in COUNTED:
             count = counting._FAMILY_TABLE[family].count
             for n in (-3, 0, 1, 2, 3):

@@ -11,7 +11,6 @@ from circomp.verify import (
     PUBLISHED_72_DISCONNECTED,
     SUITES,
     run_suites,
-    suite_connectivity,
     suite_order_72,
 )
 
@@ -79,22 +78,29 @@ class TestRunSuites:
             run_suites(workers=0)
 
 
+def connectivity(first, last):
+    """The connectivity suite run over n = first..last."""
+    return verify._run_suite("connectivity oracle agreement", verify._connectivity, first, last)
+
+
 class TestFaultInjection:
-    def test_broken_gcd_fails_naming_the_order_8_witness(self):
-        result = suite_connectivity(max_n=8, min_n=8, connected_by_gcd=literal_gcd_connected)
+    def test_broken_gcd_fails_naming_the_order_8_witness(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_connected_by_gcd", literal_gcd_connected)
+        result = connectivity(8, 8)
         assert not result.passed
         assert result.checked == 5
         assert "8: 0,3" in result.counterexample
 
-    def test_broken_gcd_full_scan_hits_smaller_witnesses_first(self):
+    def test_broken_gcd_full_scan_hits_smaller_witnesses_first(self, monkeypatch):
         # From n=1 the first refutation is {0} itself (element gcd 0);
         # starting at n=2 it is {0,2} in Z_3, which generates Z_3 despite
         # its element gcd of 2.
-        result = suite_connectivity(max_n=12, connected_by_gcd=literal_gcd_connected)
+        monkeypatch.setattr(verify, "is_connected_by_gcd", literal_gcd_connected)
+        result = connectivity(1, 12)
         assert not result.passed
         assert result.checked == 1
         assert "n=1, set 1: 0" in result.counterexample
-        result = suite_connectivity(max_n=12, min_n=2, connected_by_gcd=literal_gcd_connected)
+        result = connectivity(2, 12)
         assert not result.passed
         assert result.checked == 5
         assert "3: 0,2" in result.counterexample
@@ -181,6 +187,7 @@ MUTANTS = {
         ConnectionSet, "gcd", lambda self: math.gcd(*self.elements)
     ),
     "gcd class 7 dropped": (verify, "iter_family", without_word_7),
+    "gcd criterion ignores the modulus": (verify, "is_connected_by_gcd", literal_gcd_connected),
     "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
 }
 
@@ -204,6 +211,8 @@ class TestMutantMatrix:
         # The scaling suite sizes every gcd class by the closed form, so it
         # also catches a dropped word whose class stays non-empty.
         assert kills["composition 2,3 dropped"][names.index("common-factor scaling bijection")]
+        # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count.
+        assert kills["palindrome count off at 6"][names.index("symmetry vs palindromicity")]
 
 
 class TestImageMismatch:
