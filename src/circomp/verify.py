@@ -8,10 +8,11 @@ deliberately broken predicate names the witness that refutes it.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from typing import Any, Callable, Iterator
 
 from .compositions import Composition
@@ -26,7 +27,6 @@ from .counting import (
     count_disconnected_compositions,
     divisors,
     iter_family,
-    _gaps_of_mask,
     _set_of_mask,
 )
 
@@ -42,8 +42,10 @@ class SuiteResult:
     name: str
     passed: bool
     checked: int
+    ceiling: int  # the largest order the suite was run to
     counterexample: str | None = None
     detail: str | None = None
+    seconds: float = field(default=0.0, compare=False)
 
 
 Checks = Iterator[tuple[int, str | None]]
@@ -58,16 +60,19 @@ def _run_suite(name: str, checks: Callable[[int], Checks], first: int, last: int
     body that raises ValueError (a library call rejected what the
     enumerators built) fails with the error as its counterexample.
     """
-    checked = 0
+    start, checked, counterexample = time.perf_counter(), 0, None
     for n in range(first, last + 1):
         try:
             for made, counterexample in checks(n):
                 checked += made
                 if counterexample is not None:
-                    return SuiteResult(name, False, checked, counterexample)
+                    break
         except ValueError as exc:
-            return SuiteResult(name, False, checked, f"n={n}: {exc}")
-    return SuiteResult(name, True, checked)
+            counterexample = f"n={n}: {exc}"
+        if counterexample is not None:
+            break
+    seconds = time.perf_counter() - start
+    return SuiteResult(name, counterexample is None, checked, last, counterexample, seconds=seconds)
 
 
 def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -84,9 +89,27 @@ def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _masks(n: int, stream: Iterator[Any]) -> Iterator[tuple[int | None, Any]]:
-    """Pair mask m with item m of a kernel stream; None where either runs out."""
-    return zip_longest(range(count_compositions(n)), stream)
+def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The gap words of masks 0, 1, ..., 2^(n-1) - 1, each derived from the last.
+
+    Mask 0 is the set {0}, whose word is (n,). If mask m has t trailing
+    one bits, its word is t ones, a part g >= 2, then the rest; adding 1
+    clears those bits and sets bit t, so the word of m + 1 is
+    (t + 1, g - 1) followed by the same rest. Uses no bit loop over the
+    mask, so it is a route independent of the kernel and of the
+    per-mask decoding.
+    """
+    word = (n,)
+    yield word
+    for m in range((1 << (n - 1)) - 1):
+        t = (m ^ (m + 1)).bit_length() - 1
+        word = (t + 1, word[t] - 1) + word[t + 1 :]
+        yield word
+
+
+def _masks(n: int, *streams: Iterator[Any]) -> Iterator[tuple[Any, ...]]:
+    """Pair mask m with item m of each stream; None where any runs out."""
+    return zip_longest(range(count_compositions(n)), *streams)
 
 
 def _round_trips(n: int) -> Checks:
@@ -168,14 +191,13 @@ def _palindrome_bijection(n: int) -> Checks:
 def _count_oracles(n: int) -> Checks:
     """Closed-form counts equal the lengths of the enumerated families.
 
-    The compositions must equal the per-mask route item for item. The
-    palindromes are also found by filtering that scan, which must
-    reproduce the directly generated stream item for item.
+    The compositions must equal the successor walk's words item for
+    item. The palindromes are also found by filtering that scan, which
+    must reproduce the directly generated stream item for item.
     """
     prime = 0
     scanned_pals = []
-    for m, c in _masks(n, iter_family(n, "compositions")):
-        want = None if m is None else _gaps_of_mask(n, m)
+    for m, want, c in _masks(n, _successor_words(n), iter_family(n, "compositions")):
         if c is None or c.parts != want:
             word = Composition(want) if want else None
             yield 0, f"n={n}, mask {m}: the kernel gives {c}, the mask route {word}"
@@ -247,6 +269,7 @@ def suite_order_72(_max_n: int | None = None) -> SuiteResult:
     disconnected is 2^71, and the proper-divisor route agrees); the
     published digits are reported alongside because they differ.
     """
+    start = time.perf_counter()
     connected = count_prime_compositions(72)
     disconnected = count_disconnected_compositions(72)
     divisor_route = sum(count_prime_compositions(d) for d in divisors(72) if d != 72)
@@ -256,7 +279,8 @@ def suite_order_72(_max_n: int | None = None) -> SuiteResult:
         f"{PUBLISHED_72_CONNECTED} and {PUBLISHED_72_DISCONNECTED} differ from the formula values"
     )
     counterexample = None if ok else "order-72 totals are not self-consistent"
-    return SuiteResult(_ORDER_72, ok, 3, counterexample, detail)
+    seconds = time.perf_counter() - start
+    return SuiteResult(_ORDER_72, ok, 3, 72, counterexample, detail, seconds)
 
 
 _ORDER_72 = "order-72 recomputation"
@@ -283,14 +307,40 @@ SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
 ) + ((_ORDER_72, suite_order_72, 72),)
 
 
-def _run_one(index: int, max_n: int | None) -> SuiteResult:
-    _, fn, default = SUITES[index]
-    return fn(default if max_n is None else min(default, max_n))
+def _ceiling(default: int, max_n: int | None) -> int:
+    return default if max_n is None else min(default, max_n)
+
+
+def _run_unit(index: int, n: int) -> SuiteResult:
+    """Suite `index` at order n alone; the order-72 suite is a single unit."""
+    if index == len(_SUITE_TABLE):
+        return suite_order_72()
+    name, checks, _, _ = _SUITE_TABLE[index]
+    return _run_suite(name, checks, n, n)
+
+
+def _merge(units: list[SuiteResult]) -> SuiteResult:
+    """One suite's unit results, in ascending n, as one sequential run reports them.
+
+    The run stops at the first failing order: its counterexample stands,
+    the checks and seconds of the units up to it are summed, and the
+    units after it are dropped.
+    """
+    checked = seconds = 0
+    for unit in units:
+        checked += unit.checked
+        seconds += unit.seconds
+        if not unit.passed:
+            break
+    return replace(unit, checked=checked, ceiling=units[-1].ceiling, seconds=seconds)
 
 
 def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
-    """Run every suite, optionally sharded across worker processes.
+    """Run every suite, optionally split across worker processes.
 
+    With more than one worker, each suite runs as one unit per order n,
+    and the units go to the pool largest n first, so the long high orders
+    start at once and the short ones fill in behind them (Graham 1969).
     Results come back in registry order regardless of completion order,
     so reports are deterministic. No more workers start than there are
     suites.
@@ -299,8 +349,17 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
         raise ValueError(f"--max-n must be >= 2, got {max_n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    indices = range(len(SUITES))
     if workers == 1:
-        return [_run_one(i, max_n) for i in indices]
+        return [fn(_ceiling(default, max_n)) for _, fn, default in SUITES]
+    units = [
+        (index, n)
+        for index, (_, _, first, default) in enumerate(_SUITE_TABLE)
+        for n in range(first, _ceiling(default, max_n) + 1)
+    ] + [(len(_SUITE_TABLE), 72)]
+    units.sort(key=lambda unit: (-unit[1], unit[0]))
     with ProcessPoolExecutor(max_workers=min(workers, len(SUITES))) as pool:
-        return list(pool.map(_run_one, indices, [max_n] * len(SUITES)))
+        by_suite = sorted(zip(units, pool.map(_run_unit, *zip(*units))))
+    return [
+        _merge([result for _, result in group])
+        for _, group in groupby(by_suite, key=lambda pair: pair[0][0])
+    ]

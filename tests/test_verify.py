@@ -215,6 +215,48 @@ class TestMutantMatrix:
         assert kills["palindrome count off at 6"][names.index("symmetry vs palindromicity")]
 
 
+class ReversedPool:
+    """Runs the mapped calls in this process, last first, and returns them in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, *iterables):
+        calls = list(zip(*iterables))
+        return reversed([fn(*args) for args in reversed(calls)])
+
+
+class TestUnits:
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_units_merge_like_the_sequential_run(self, mutant, monkeypatch):
+        # Every unit of a suite runs, even past its first failing order; the
+        # merge must keep the smallest failing n and drop the units after it.
+        owner, attr, replacement = MUTANTS[mutant]
+        monkeypatch.setattr(owner, attr, replacement)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        sequential = run_suites(max_n=9)
+        assert not all(r.passed for r in sequential)
+        assert run_suites(max_n=9, workers=2) == sequential
+
+    def test_results_carry_ceiling_and_seconds(self, monkeypatch):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        for workers in (1, 2):
+            results = run_suites(max_n=9, workers=workers)
+            assert [r.ceiling for r in results] == [min(c, 9) for _, _, c in SUITES[:-1]] + [72]
+            assert all(r.seconds > 0 for r in results)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_successor_walk_equals_the_per_mask_route(self, n):
+        want = [counting._gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
+        assert list(verify._successor_words(n)) == want
+
+
 class TestImageMismatch:
     def test_names_the_first_stray_set_instead_of_raising(self, monkeypatch):
         # Without the rescaling, the word 2 of n = 2 maps to {0}, which generates nothing.
