@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, partial
-from itertools import chain
+from itertools import accumulate, chain
 from dataclasses import make_dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -128,11 +128,11 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
 
     Members arrive in ascending bitmask order: mask m encodes the
     connection set {0} | {i+1 : bit i of m set}, and composition
-    families see the gap word of that set. The dense families come from
-    the block kernel; the palindromic families follow the convention
-    that they are defined for n >= 2 only, and are generated directly
-    from the 2^floor(n/2) masks fixed by bit reversal, so they cost no
-    scan of all 2^(n-1) masks.
+    families see the gap word of that set. Every family comes from the
+    block kernel: the dense ones at order n, the palindromic ones from
+    their first halves, the compositions of ceil(n/2), so they cost no
+    scan of all 2^(n-1) masks. The palindromic families follow the
+    convention that they are defined for n >= 2 only.
     """
     return _listed(n, family).members(n)
 
@@ -230,70 +230,21 @@ def _dense_members(n: int, family: str) -> Iterator[Composition] | Iterator[Conn
     return map(Composition._unchecked, items)
 
 
-def _iter_palindromes(n: int) -> Iterator[Composition]:
-    """Palindromic gap words in ascending mask order, one per symmetric mask.
+def _palindromes(n: int) -> Iterator[tuple[int, ...]]:
+    """Palindromic gap words of order n in ascending mask order, from the block kernel.
 
-    The masks are generated directly, so the stream costs 2^floor(n/2)
-    steps rather than a scan of all 2^(n-1) masks. The scan-and-filter
-    route stays in verify as the independent oracle.
+    A palindrome is fixed by its first half (Hoggatt and Bicknell, 1975):
+    the high half of a symmetric mask, read at order ceil(n/2), has the
+    gap word (x,) + t, and the palindrome is reversed(t), mid, t. For odd
+    n, mid is 2x - 1; for even n, 2x with the middle bit clear, then x, x
+    with it set. The scan-and-filter route stays in verify as the oracle.
     """
-    return (Composition(_gaps_of_mask(n, m)) for m in _symmetric_masks(n))
-
-
-def _symmetric_masks(n: int) -> Iterator[int]:
-    """The 2^floor(n/2) masks of width n - 1 fixed by bit reversal, ascending.
-
-    Exactly these masks encode mirror-symmetric sets, whose gap words are
-    the palindromes. Each is built from its high half r and the reversal
-    of r in the low half, plus an optional middle bit when the width is
-    odd; ascending r with the middle bit clear first gives ascending masks.
-    """
-    width = n - 1
-    half = width // 2
-    for r in range(1 << half):
-        mask = (r << (width - half)) | _reverse_bits(r, half)
-        yield mask
-        if width % 2:
-            yield mask | (1 << half)
-
-
-def _gaps_of_mask(n: int, mask: int) -> tuple[int, ...]:
-    """Cyclic gap word of the set {0} | {i+1 : bit i of mask set}.
-
-    The per-mask route of the palindromic families, and verify's oracle
-    for the block kernel.
-    """
-    parts = []
-    prev = 0
-    while mask:
-        low = mask & -mask
-        pos = low.bit_length()
-        parts.append(pos - prev)
-        prev = pos
-        mask ^= low
-    parts.append(n - prev)
-    return tuple(parts)
-
-
-def _set_of_mask(n: int, mask: int) -> ConnectionSet:
-    """The connection set {0} | {i+1 : bit i of mask set} over Z_n.
-
-    The per-mask route of symmetric_connection_sets, and verify's oracle
-    for the block kernel.
-    """
-    elems = [0]
-    pos = 1
-    while mask:
-        if mask & 1:
-            elems.append(pos)
-        mask >>= 1
-        pos += 1
-    return ConnectionSet(n, tuple(elems))
-
-
-def _reverse_bits(mask: int, width: int) -> int:
-    """The mask read back to front as a width-bit string."""
-    return int(format(mask, f"0{width}b")[::-1], 2) if width else 0
+    words = chain.from_iterable(_dense_blocks((n + 1) // 2, "compositions", _TUPLES))
+    if n % 2:
+        return (w[:0:-1] + (2 * w[0] - 1,) + w[1:] for w in words)
+    return (
+        p for w in words for p in (w[:0:-1] + (2 * w[0],) + w[1:], w[:0:-1] + (w[0], w[0]) + w[1:])
+    )
 
 
 class _Family(NamedTuple):
@@ -313,17 +264,23 @@ _FAMILY_TABLE = {
         count_prime_compositions, lambda n: _dense_members(n, "prime_compositions"), 1, dense=True
     ),
     "disconnected": _Family(count_disconnected_compositions, None, 1),
-    "palindromes": _Family(count_palindromes, _iter_palindromes, 2),
+    "palindromes": _Family(
+        count_palindromes, lambda n: map(Composition._unchecked, _palindromes(n)), 2
+    ),
     "aperiodic_palindromes": _Family(
         count_aperiodic_palindromes,
-        lambda n: (c for c in _iter_palindromes(n) if c.is_aperiodic()),
+        lambda n: (c for c in map(Composition._unchecked, _palindromes(n)) if c.is_aperiodic()),
         2,
     ),
     "connection_sets": _Family(
         None, lambda n: _dense_members(n, "connection_sets"), 1, dense=True
     ),
     "symmetric_connection_sets": _Family(
-        None, lambda n: (_set_of_mask(n, m) for m in _symmetric_masks(n)), 2
+        None,
+        lambda n: (
+            ConnectionSet._unchecked(n, tuple(accumulate(w[:-1], initial=0))) for w in _palindromes(n)
+        ),
+        2,
     ),
 }
 

@@ -16,7 +16,7 @@ from itertools import groupby, zip_longest
 from typing import Any, Callable, Iterator
 
 from .compositions import Composition
-from .circulant import build_digraph, is_connected_by_gcd
+from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
 from .bijections import aperiodic_palindrome_of, connected_set_of, gap_composition, prefix_sum_set
 from .counting import (
     count_aperiodic_palindromes,
@@ -27,7 +27,6 @@ from .counting import (
     count_disconnected_compositions,
     divisors,
     iter_family,
-    _set_of_mask,
 )
 
 # Previously published order-72 figures; both disagree with the counting
@@ -107,6 +106,39 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
         yield word
 
 
+def _gaps_of_mask(n: int, mask: int) -> tuple[int, ...]:
+    """Cyclic gap word of the set {0} | {i+1 : bit i of mask set}, one bit at a time.
+
+    The per-mask route the tests hold the kernel and the successor walk
+    to.
+    """
+    parts = []
+    prev = 0
+    while mask:
+        low = mask & -mask
+        pos = low.bit_length()
+        parts.append(pos - prev)
+        prev = pos
+        mask ^= low
+    parts.append(n - prev)
+    return tuple(parts)
+
+
+def _set_of_mask(n: int, mask: int) -> ConnectionSet:
+    """The connection set {0} | {i+1 : bit i of mask set} over Z_n, validated.
+
+    The round trips' per-mask oracle for the block kernel.
+    """
+    elems = [0]
+    pos = 1
+    while mask:
+        if mask & 1:
+            elems.append(pos)
+        mask >>= 1
+        pos += 1
+    return ConnectionSet(n, tuple(elems))
+
+
 def _masks(n: int, *streams: Iterator[Any]) -> Iterator[tuple[Any, ...]]:
     """Pair mask m with item m of each stream; None where any runs out."""
     return zip_longest(range(count_compositions(n)), *streams)
@@ -139,14 +171,21 @@ def _symmetry_palindrome(n: int) -> Checks:
     """A set is symmetric exactly when its gap word is a palindrome.
 
     The symmetric sets are also counted, and must number count_palindromes(n).
+    Filtered from the scan, they must reproduce the symmetric-set stream
+    item for item.
     """
-    symmetric = 0
+    scanned = []
     for s in iter_family(n, "connection_sets"):
         is_symmetric = s.is_symmetric()
-        symmetric += is_symmetric
+        if is_symmetric:
+            scanned.append(s)
         yield 1, f"n={n}, set {s}" if is_symmetric != gap_composition(s).is_palindrome() else None
-    if symmetric != count_palindromes(n):
-        yield 0, f"n={n}: {symmetric} symmetric sets vs {count_palindromes(n)} counted"
+    if len(scanned) != count_palindromes(n):
+        yield 0, f"n={n}: {len(scanned)} symmetric sets vs {count_palindromes(n)} counted"
+    streamed = list(iter_family(n, "symmetric_connection_sets")) if n > 1 else scanned
+    if streamed != scanned:
+        stray = next((a, b) for a, b in zip_longest(streamed, scanned) if a != b)
+        yield 0, f"n={n}: symmetric set stream gives {stray[0]} where the scan gives {stray[1]}"
 
 
 def _connectivity(n: int) -> Checks:
@@ -193,7 +232,7 @@ def _count_oracles(n: int) -> Checks:
 
     The compositions must equal the successor walk's words item for
     item. The palindromes are also found by filtering that scan, which
-    must reproduce the directly generated stream item for item.
+    must reproduce the palindrome stream item for item.
     """
     prime = 0
     scanned_pals = []

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circomp import cli, counting
+from circomp import cli, counting, verify
 from circomp.circulant import CirculantDigraph, ConnectionSet, build_digraph, build_graph
 from circomp.compositions import Composition
 from circomp.cli import build_parser, main, render_dot, render_edgelist
@@ -516,8 +516,11 @@ class TestVerify:
         assert code == 2
 
     def test_failure_prints_the_first_counterexample_and_exits_1(self, monkeypatch):
-        # A broken generator: the right number of masks, mostly the wrong ones.
-        monkeypatch.setattr(counting, "_symmetric_masks", lambda n: iter(range(1 << (n // 2))))
+        def low_masks(n):
+            """A broken generator: the right number of words, from mostly the wrong masks."""
+            return (verify._gaps_of_mask(n, m) for m in range(1 << (n // 2)))
+
+        monkeypatch.setattr(counting, "_palindromes", low_masks)
         code, out, _ = run_cli("verify", "--max-n", "8")
         assert code == 1
         assert (

@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import sys
+from itertools import chain
 
 import pytest
 import sympy
@@ -29,10 +30,8 @@ from circomp.counting import (
     _decimal_rows,
     _dense_blocks,
     _printed_count,
-    _gaps_of_mask,
-    _reverse_bits,
-    _set_of_mask,
 )
+from circomp.verify import _gaps_of_mask, _set_of_mask
 
 
 # A large prime, a prime square, and products with one or two large primes.
@@ -149,19 +148,6 @@ class TestMaskHelpers:
         assert _set_of_mask(5, 0b0110) == ConnectionSet(5, (0, 2, 3))
         assert _set_of_mask(5, 0) == ConnectionSet(5, (0,))
 
-    def test_reverse_bits_examples(self):
-        assert _reverse_bits(0b0010, 4) == 0b0100
-        assert _reverse_bits(0b100000000, 9) == 1
-        assert _reverse_bits(0, 7) == 0
-
-    @pytest.mark.parametrize("width", range(1, 26))
-    def test_reverse_bits_involution(self, width):
-        step = max(1, (1 << width) // 257)
-        for mask in range(0, 1 << width, step):
-            rev = _reverse_bits(mask, width)
-            assert rev < (1 << width)
-            assert _reverse_bits(rev, width) == mask
-
 
 class TestIterFamily:
     def test_compositions_order_and_length(self):
@@ -201,9 +187,12 @@ class TestIterFamily:
 
     @pytest.mark.parametrize("n", range(2, 19))
     def test_palindromes_match_naive_filter(self, n):
-        fast = [c.parts for c in iter_family(n, "palindromes")]
-        naive = [c.parts for c in iter_family(n, "compositions") if c.is_palindrome()]
-        assert fast == naive
+        words = list(iter_family(n, "compositions"))
+        for family, keep in (
+            ("palindromes", Composition.is_palindrome),
+            ("aperiodic_palindromes", lambda c: c.is_palindrome() and c.is_aperiodic()),
+        ):
+            assert [c.parts for c in iter_family(n, family)] == [c.parts for c in words if keep(c)]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_prime_family_matches_filter(self, n):
@@ -254,12 +243,11 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", [1, 5, 11, 12, 14])
     def test_trusted_objects_equal_and_hash_like_validated_ones(self, n):
-        for c in iter_family(n, "compositions"):
-            public = Composition(c.parts)
-            assert type(c) is Composition and c == public and hash(c) == hash(public)
-        for s in iter_family(n, "connection_sets"):
-            public = ConnectionSet(n, s.elements)
-            assert type(s) is ConnectionSet and s == public and hash(s) == hash(public)
+        listed = [f for f in counting.FAMILIES if n >= counting._FAMILY_TABLE[f].min_n]
+        for x in chain.from_iterable(iter_family(n, family) for family in listed):
+            sets = isinstance(x, ConnectionSet)
+            public = ConnectionSet(n, x.elements) if sets else Composition(x.parts)
+            assert type(x) is type(public) and x == public and hash(x) == hash(public)
 
     def test_huge_order_streams_from_the_first_block(self):
         n = 10**6

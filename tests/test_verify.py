@@ -21,8 +21,28 @@ def literal_gcd_connected(s):
 
 
 def low_masks(n):
-    """Deliberately broken generator: the right number of masks, mostly the wrong ones."""
-    return iter(range(1 << (n // 2)))
+    """Deliberately broken generator: the right number of words, from mostly the wrong masks."""
+    return (verify._gaps_of_mask(n, m) for m in range(1 << (n // 2)))
+
+
+PALINDROMES = counting._palindromes
+
+
+def even_middles_swapped(n):
+    """Deliberately broken generator: for even n, the middle bit set comes before clear."""
+    words = PALINDROMES(n)
+    if n % 2:
+        return words
+    return (p for clear in words for p in (next(words), clear))
+
+
+def symmetric_sets_swapped(n, family):
+    """Deliberately broken stream: the first two symmetric sets trade places."""
+    items = counting.iter_family(n, family)
+    if family != "symmetric_connection_sets":
+        return items
+    items = list(items)
+    return iter(items[1::-1] + items[2:])
 
 
 LOW_TABLE = counting._low_table
@@ -106,7 +126,7 @@ class TestFaultInjection:
         assert "3: 0,2" in result.counterexample
 
     def test_broken_palindrome_generator_fails_naming_the_order(self, monkeypatch):
-        monkeypatch.setattr(counting, "_symmetric_masks", low_masks)
+        monkeypatch.setattr(counting, "_palindromes", low_masks)
         results = {r.name: r for r in run_suites(max_n=8)}
         result = results["count formulas vs enumeration"]
         assert not result.passed
@@ -182,7 +202,9 @@ MUTANTS = {
         verify, "count_compositions_with_parts", lambda n, k: math.comb(n - 1, k)
     ),
     "composition 2,3 dropped": (verify, "iter_family", without(Composition((2, 3)))),
-    "_symmetric_masks low half only": (counting, "_symmetric_masks", low_masks),
+    "_palindromes low half only": (counting, "_palindromes", low_masks),
+    "even-n middles swapped": (counting, "_palindromes", even_middles_swapped),
+    "symmetric sets out of order": (verify, "iter_family", symmetric_sets_swapped),
     "gcd predicate ignores the modulus": (
         ConnectionSet, "gcd", lambda self: math.gcd(*self.elements)
     ),
@@ -211,8 +233,11 @@ class TestMutantMatrix:
         # The scaling suite sizes every gcd class by the closed form, so it
         # also catches a dropped word whose class stays non-empty.
         assert kills["composition 2,3 dropped"][names.index("common-factor scaling bijection")]
-        # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count.
-        assert kills["palindrome count off at 6"][names.index("symmetry vs palindromicity")]
+        # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count,
+        # and compares them with the symmetric-set stream, so it catches that stream's order.
+        symmetry = names.index("symmetry vs palindromicity")
+        assert kills["palindrome count off at 6"][symmetry]
+        assert kills["symmetric sets out of order"][symmetry]
 
 
 class ReversedPool:
@@ -244,6 +269,27 @@ class TestUnits:
         assert not all(r.passed for r in sequential)
         assert run_suites(max_n=9, workers=2) == sequential
 
+    def test_check_counts_follow_the_closed_forms(self):
+        # perfbench/oracle.py derives these counts too; a suite edit that
+        # moves one fails here first.
+        top = 9
+        words = 2**top - 1  # one check per composition of each order up to top
+        aperiodic = sum(counting.count_aperiodic_palindromes(n) for n in range(2, top + 1))
+        want = {
+            "gap-word round trips": 2 * words,
+            "gcd preservation": words,
+            "symmetry vs palindromicity": words,
+            "connectivity oracle agreement": words,
+            "aperiodic palindrome bijection": 2 * aperiodic,
+            "count formulas vs enumeration": words,
+            "divisor-sum inversion identity": top,
+            "part-count refinement": words,
+            "common-factor scaling bijection": words,
+            "order-72 recomputation": 3,
+        }
+        for workers in (1, 2):
+            assert {r.name: r.checked for r in run_suites(max_n=top, workers=workers)} == want
+
     def test_results_carry_ceiling_and_seconds(self, monkeypatch):
         monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
         for workers in (1, 2):
@@ -253,7 +299,7 @@ class TestUnits:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_successor_walk_equals_the_per_mask_route(self, n):
-        want = [counting._gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
+        want = [verify._gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
         assert list(verify._successor_words(n)) == want
 
 
