@@ -8,8 +8,6 @@ deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import operator
 import os
 import sys
@@ -41,7 +39,7 @@ def handle_list(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
     json_rows = args.format == "json"
-    blocks = _list_blocks(args.n, args.family.replace("-", "_"), json_rows, args.limit)
+    blocks = _list_blocks(args.n, args.family.replace("-", "_"), json_rows)
     # Text is one line per member; JSON is the bytes of json.dumps(list),
     # whose "[" waits for the first block, so a failing order prints nothing.
     joiner = ", " if json_rows else ""
@@ -64,13 +62,14 @@ def handle_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _list_blocks(n: int, family: str, json_rows: bool, limit: int | None) -> Iterator[list[str]]:
+def _list_blocks(n: int, family: str, json_rows: bool) -> Iterator[list[str]]:
     """The family's members at order n as text lines or JSON rows, in blocks.
 
-    The dense families are spelled straight from the block kernel's
-    string tables, one block per high half of the mask. The palindromic
-    ones are spelled member by member, at most limit + 1 of them (enough
-    to tell whether the limit cuts the list), 2^14 to a block.
+    Every family's blocks are spelled from the two closures below: the
+    dense families straight from the block kernel's string tables, one
+    block per high half of the mask, the palindromic ones whole, 2^10
+    to a block. handle_list stops reading at --limit, so at most one
+    block past the cut is built.
     """
     sets = family.endswith("connection_sets")
     head, sep, end = ("[", ", ", "]") if json_rows else (f"{n}: " if sets else "", ",", "\n")
@@ -81,12 +80,7 @@ def _list_blocks(n: int, family: str, json_rows: bool, limit: int | None) -> Ite
     def high(nums: tuple[int, ...]) -> str:
         return "".join(f"{sep}{x}" for x in nums) + end
 
-    if counting._listed(n, family).dense:
-        return counting._dense_blocks(n, family, (low, str, high))
-    members = itertools.islice(counting.iter_family(n, family), None if limit is None else limit + 1)
-    nums = (x.elements if sets else x.parts for x in members)
-    rows = (low(m[:-1]) + str(m[-1]) + high(()) for m in nums)
-    return iter(lambda: list(itertools.islice(rows, 1 << 14)), [])
+    return counting._listed(n, family).blocks(n, family, (low, str, high))
 
 
 def handle_convert(args: argparse.Namespace) -> int:
@@ -115,7 +109,7 @@ def handle_graph(args: argparse.Namespace) -> int:
 
 
 def handle_table(args: argparse.Namespace) -> int:
-    columns = [field.name for field in dataclasses.fields(counting.CountRow)]
+    columns = ["n", *counting._COUNTED]
     rows = map(operator.attrgetter(*columns), counting._decimal_rows(args.max_n))
     if args.format == "json":
         import json
@@ -220,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print the exact size of a family at order n")
-    p.add_argument("family", choices=sorted(
-        name.replace("_", "-") for name, family in counting._FAMILY_TABLE.items() if family.count
-    ))
+    p.add_argument("family", choices=sorted(name.replace("_", "-") for name in counting._COUNTED))
     p.add_argument("n", type=int)
     p.set_defaults(handler=handle_count)
 

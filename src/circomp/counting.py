@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from dataclasses import make_dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -134,7 +134,11 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
     scan of all 2^(n-1) masks. The palindromic families follow the
     convention that they are defined for n >= 2 only.
     """
-    return _listed(n, family).members(n)
+    items = chain.from_iterable(_listed(n, family).blocks(n, family, _TUPLES))
+    # The kernel's tuples are members by construction: no re-validation.
+    if family.endswith("connection_sets"):
+        return map(partial(ConnectionSet._unchecked, n), items)
+    return map(Composition._unchecked, items)
 
 
 def _listed(n: int, family: str) -> _Family:
@@ -151,10 +155,10 @@ def _listed(n: int, family: str) -> _Family:
 _LOW_BITS = 10  # the kernel tabulates the low min(10, n - 1) bits of every mask
 
 
-# A spelling is a tuple (low, gap, high) of callables that tells the block
-# kernel how to write an item: low(before) + gap(boundary) + high(after), where
+# A spelling is a tuple (low, gap, high) of callables that tells a family's
+# blocks how to write an item: low(before) + gap(boundary) + high(after), where
 # before and after are the numbers on either side of the boundary number (gaps
-# for the composition families, elements for the connection sets).
+# or elements); a palindromic item puts its last number at the boundary.
 _TUPLES = (tuple, lambda g: (g,), tuple)
 
 
@@ -222,14 +226,6 @@ def _diffs(run: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip(run, run[1:]))
 
 
-def _dense_members(n: int, family: str) -> Iterator[Composition] | Iterator[ConnectionSet]:
-    """The block kernel's tuples as objects, built without re-validation."""
-    items = chain.from_iterable(_dense_blocks(n, family, _TUPLES))
-    if family == "connection_sets":
-        return map(partial(ConnectionSet._unchecked, n), items)
-    return map(Composition._unchecked, items)
-
-
 def _palindromes(n: int) -> Iterator[tuple[int, ...]]:
     """Palindromic gap words of order n in ascending mask order, from the block kernel.
 
@@ -247,48 +243,49 @@ def _palindromes(n: int) -> Iterator[tuple[int, ...]]:
     )
 
 
+def _palindrome_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
+    """The members of a palindromic family at order n, spelled whole, 2^10 to a block.
+
+    The words come from _palindromes(n); aperiodic_palindromes keeps
+    those of period n, and symmetric_connection_sets maps each word to
+    its prefix sums. An order too large to enumerate fails at the call,
+    in the kernel at order ceil(n/2).
+    """
+    items = _palindromes(n)
+    if family == "aperiodic_palindromes":
+        items = (w for w in items if Composition._unchecked(w).is_aperiodic())
+    elif family == "symmetric_connection_sets":
+        items = (tuple(accumulate(w[:-1], initial=0)) for w in items)
+    spell_low, spell_gap, spell_high = spell
+    end = spell_high(())
+    spelled = (spell_low(m[:-1]) + spell_gap(m[-1]) + end for m in items)
+    return iter(lambda: list(islice(spelled, 1 << _LOW_BITS)), [])
+
+
 class _Family(NamedTuple):
     count: Callable[..., Any] | None  # n, *, two -> the count; None: the family is listed only
-    members: Callable[[int], Iterator[Any]] | None  # None: counted only
+    blocks: Callable[[int, str, tuple], Iterator[list[Any]]] | None  # None: counted only
     min_n: int  # smallest order the members are listed at
-    dense: bool = False  # listed by the block kernel, _dense_blocks
 
 
 # Every family by name. The order is public: the counted families give the
 # columns of CountRow and of the count table, the listed ones FAMILIES.
 _FAMILY_TABLE = {
-    "compositions": _Family(
-        count_compositions, lambda n: _dense_members(n, "compositions"), 1, dense=True
-    ),
-    "prime_compositions": _Family(
-        count_prime_compositions, lambda n: _dense_members(n, "prime_compositions"), 1, dense=True
-    ),
+    "compositions": _Family(count_compositions, _dense_blocks, 1),
+    "prime_compositions": _Family(count_prime_compositions, _dense_blocks, 1),
     "disconnected": _Family(count_disconnected_compositions, None, 1),
-    "palindromes": _Family(
-        count_palindromes, lambda n: map(Composition._unchecked, _palindromes(n)), 2
-    ),
-    "aperiodic_palindromes": _Family(
-        count_aperiodic_palindromes,
-        lambda n: (c for c in map(Composition._unchecked, _palindromes(n)) if c.is_aperiodic()),
-        2,
-    ),
-    "connection_sets": _Family(
-        None, lambda n: _dense_members(n, "connection_sets"), 1, dense=True
-    ),
-    "symmetric_connection_sets": _Family(
-        None,
-        lambda n: (
-            ConnectionSet._unchecked(n, tuple(accumulate(w[:-1], initial=0))) for w in _palindromes(n)
-        ),
-        2,
-    ),
+    "palindromes": _Family(count_palindromes, _palindrome_blocks, 2),
+    "aperiodic_palindromes": _Family(count_aperiodic_palindromes, _palindrome_blocks, 2),
+    "connection_sets": _Family(None, _dense_blocks, 1),
+    "symmetric_connection_sets": _Family(None, _palindrome_blocks, 2),
 }
 
-FAMILIES = tuple(name for name, family in _FAMILY_TABLE.items() if family.members)
+FAMILIES = tuple(name for name, family in _FAMILY_TABLE.items() if family.blocks)
+_COUNTED = tuple(name for name, family in _FAMILY_TABLE.items() if family.count)
 
 CountRow = make_dataclass(
     "CountRow",
-    [("n", int)] + [(name, int) for name, family in _FAMILY_TABLE.items() if family.count],
+    [("n", int)] + [(name, int) for name in _COUNTED],
     frozen=True,
     namespace={"__doc__": "The five family sizes at one order n.", "__module__": __name__},
 )

@@ -74,8 +74,11 @@ class TestTooLarge:
             ("list", "compositions", "1000000000000", "--limit", "1"),
             ("list", "prime-compositions", "1000000000000", "--limit", "1"),
             ("list", "connection-sets", "1000000000000", "--limit", "1"),
-            # The palindromic streams fail at their first item, not at the call.
+            # Every family fails at the call, before any row: the palindromic
+            # ones in the block kernel at order ceil(n/2).
             ("list", "palindromes", "100000000000000000000", "--format", "json"),
+            ("list", "aperiodic-palindromes", "100000000000000000000"),
+            ("list", "symmetric-connection-sets", "100000000000000000000"),
             ("count", "palindromes", "100000000000000000000"),
             # A prime order: the count fails before n is trial-divided.
             ("count", "prime-compositions", "1000000000000000003"),
@@ -167,6 +170,8 @@ class TestList:
 
 
 DENSE = ("compositions", "prime-compositions", "connection-sets")
+PALINDROMIC = ("palindromes", "aperiodic-palindromes", "symmetric-connection-sets")
+ORDERS = {**dict.fromkeys(DENSE, range(1, 17)), **dict.fromkeys(PALINDROMIC, range(2, 25))}
 
 
 def rendered(family, n, fmt, limit=None):
@@ -180,10 +185,12 @@ def rendered(family, n, fmt, limit=None):
 
 
 class TestDenseRendering:
+    """The list output of all six families, which share one block interface."""
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("family", DENSE)
+    @pytest.mark.parametrize("family", DENSE + PALINDROMIC)
     def test_block_rendering_matches_the_objects(self, family, fmt):
-        for n in range(1, 17):
+        for n in ORDERS[family]:
             assert run_cli("list", family, str(n), "--format", fmt) == (0, rendered(family, n, fmt), "")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -195,6 +202,14 @@ class TestDenseRendering:
     def test_limits_at_block_and_chunk_edges(self, family, fmt, n, limit):
         argv = ("list", family, str(n), "--format", fmt, "--limit", str(limit))
         assert run_cli(*argv) == (0, rendered(family, n, fmt, limit), "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("family", PALINDROMIC)
+    @pytest.mark.parametrize("limit", [1023, 1024, 1025, 2048, 2049])
+    def test_palindromic_limits_at_block_edges(self, family, fmt, limit):
+        # At n = 24 each palindromic family has more than 2049 members.
+        argv = ("list", family, "24", "--format", fmt, "--limit", str(limit))
+        assert run_cli(*argv) == (0, rendered(family, 24, fmt, limit), "")
 
     def test_huge_order_prints_the_first_rows(self):
         code, out, err = run_cli("list", "compositions", "1000000", "--limit", "2")

@@ -206,11 +206,21 @@ class TestIterFamily:
         naive = [s.elements for s in iter_family(n, "connection_sets") if s.is_symmetric()]
         assert fast == naive
 
-    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("n", range(2, 25))
     def test_palindromes_and_symmetric_sets_share_one_mask_stream(self, n):
         words = iter_family(n, "palindromes")
         sets = iter_family(n, "symmetric_connection_sets")
         assert [prefix_sum_set(c) for c in words] == list(sets)
+
+    @pytest.mark.parametrize("n", range(21, 27))
+    def test_palindromic_streams_past_the_first_block(self, n):
+        # From n = 22 on, the palindromes fill more than one block of 2^10.
+        words = [c.parts for c in iter_family(n, "palindromes")]
+        assert words == list(counting._palindromes(n))
+        assert len(words) == count_palindromes(n)
+        aperiodic = sum(1 for _ in iter_family(n, "aperiodic_palindromes"))
+        assert aperiodic == count_aperiodic_palindromes(n)
+        assert sum(1 for _ in iter_family(n, "symmetric_connection_sets")) == count_palindromes(n)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_stream_lengths_match_counts(self, n):
@@ -296,7 +306,7 @@ def unlimited_int_str():
         sys.set_int_max_str_digits(limit)
 
 
-COUNTED = [name for name, family in counting._FAMILY_TABLE.items() if family.count]
+COUNTED = counting._COUNTED
 
 
 def outcome(call):
