@@ -111,11 +111,17 @@ class CirculantDigraph:
 
     Adjacency is answered arithmetically; arc and edge sequences are
     materialized only on demand. ``directed=False`` marks the undirected
-    view produced by :func:`build_graph`.
+    view, whose connection set must be symmetric.
     """
 
     connection: ConnectionSet
     directed: bool = True
+
+    def __post_init__(self) -> None:
+        if not (self.directed or self.connection.is_symmetric()):
+            raise ValueError(
+                f"{self.connection} is not closed under negation; it defines a digraph only"
+            )
 
     @property
     def order(self) -> int:
@@ -200,10 +206,6 @@ def build_digraph(connection: ConnectionSet) -> CirculantDigraph:
 
 def build_graph(connection: ConnectionSet) -> CirculantDigraph:
     """The undirected circulant graph; requires a symmetric connection set."""
-    if not connection.is_symmetric():
-        raise ValueError(
-            f"{connection} is not closed under negation; it defines a digraph only"
-        )
     return CirculantDigraph(connection, directed=False)
 
 

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exhaustive self-check suites")
     p.add_argument("--max-n", type=int, default=None, help="lower every suite ceiling to this order")
-    p.add_argument("--workers", type=int, default=1, help="split the suites into per-order units across processes")
+    p.add_argument("--workers", type=int, default=1, help="processes for the per-order units (1: run them here)")
     p.set_defaults(handler=handle_verify)
 
     return parser

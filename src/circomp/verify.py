@@ -12,8 +12,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby, zip_longest
-from typing import Any, Callable, Iterator
+from itertools import zip_longest
+from typing import Any, Callable, Iterable, Iterator
 
 from .compositions import Composition
 from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
@@ -50,8 +50,8 @@ class SuiteResult:
 Checks = Iterator[tuple[int, str | None]]
 
 
-def _run_suite(name: str, checks: Callable[[int], Checks], first: int, last: int) -> SuiteResult:
-    """Run ``checks(n)`` for n = first..last and add up the checks made.
+def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResult:
+    """Suite ``name`` at order n alone: run ``checks(n)`` and add up the checks made.
 
     A check body yields (checks made, None) as it goes and (checks made,
     counterexample) at a failure. The run stops at the first
@@ -60,18 +60,15 @@ def _run_suite(name: str, checks: Callable[[int], Checks], first: int, last: int
     enumerators built) fails with the error as its counterexample.
     """
     start, checked, counterexample = time.perf_counter(), 0, None
-    for n in range(first, last + 1):
-        try:
-            for made, counterexample in checks(n):
-                checked += made
-                if counterexample is not None:
-                    break
-        except ValueError as exc:
-            counterexample = f"n={n}: {exc}"
-        if counterexample is not None:
-            break
+    try:
+        for made, counterexample in checks(n):
+            checked += made
+            if counterexample is not None:
+                break
+    except ValueError as exc:
+        counterexample = f"n={n}: {exc}"
     seconds = time.perf_counter() - start
-    return SuiteResult(name, counterexample is None, checked, last, counterexample, seconds=seconds)
+    return SuiteResult(name, counterexample is None, checked, n, counterexample, seconds=seconds)
 
 
 def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -203,6 +200,8 @@ def _connectivity(n: int) -> Checks:
 
 def _palindrome_bijection(n: int) -> Checks:
     """Aperiodic palindromes map one-to-one onto symmetric generating sets."""
+    if n < 2:
+        return
     aperiodic = list(iter_family(n, "aperiodic_palindromes"))
     targets = {s for s in iter_family(n, "connection_sets") if s.is_symmetric() and s.gcd() == 1}
     images = []
@@ -301,7 +300,7 @@ def _scaling_bijection(n: int) -> Checks:
             yield 0, f"n={n}, d={d}: {len(words)} words vs {count_prime_compositions(n // d)} counted"
 
 
-def suite_order_72(_max_n: int | None = None) -> SuiteResult:
+def suite_order_72(_n: int = 72) -> SuiteResult:
     """Recompute the order-72 counts and flag the published figures.
 
     Passing means the formula output is self-consistent (connected plus
@@ -324,46 +323,37 @@ def suite_order_72(_max_n: int | None = None) -> SuiteResult:
 
 _ORDER_72 = "order-72 recomputation"
 
-# (display name, per-order checks, first order, default ceiling); a
-# user-supplied --max-n lowers the ceilings but never raises them past the
-# under-a-minute defaults.
-_SUITE_TABLE = (
-    ("gap-word round trips", _round_trips, 1, 14),
-    ("gcd preservation", _gcd_preservation, 1, 14),
-    ("symmetry vs palindromicity", _symmetry_palindrome, 1, 14),
-    ("connectivity oracle agreement", _connectivity, 1, 12),
-    ("aperiodic palindrome bijection", _palindrome_bijection, 2, 16),
-    ("count formulas vs enumeration", _count_oracles, 1, 20),
-    ("divisor-sum inversion identity", _moebius_inversion, 1, 64),
-    ("part-count refinement", _part_refinement, 1, 14),
-    ("common-factor scaling bijection", _scaling_bijection, 1, 16),
-)
-
-# (display name, suite, ceiling): suite(ceiling) runs it up to that order.
+# (display name, unit, ceiling): unit(n) runs the suite at order n alone.
+# A ranged suite runs n = 1..ceiling; a user-supplied --max-n lowers the
+# ceilings but never raises them past the under-a-minute defaults. The
+# order-72 suite is one unit at its ceiling.
 SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
-    (name, partial(_run_suite, name, checks, first), ceiling)
-    for name, checks, first, ceiling in _SUITE_TABLE
+    (name, partial(_run_order, name, checks), ceiling)
+    for name, checks, ceiling in (
+        ("gap-word round trips", _round_trips, 14),
+        ("gcd preservation", _gcd_preservation, 14),
+        ("symmetry vs palindromicity", _symmetry_palindrome, 14),
+        ("connectivity oracle agreement", _connectivity, 12),
+        ("aperiodic palindrome bijection", _palindrome_bijection, 16),
+        ("count formulas vs enumeration", _count_oracles, 20),
+        ("divisor-sum inversion identity", _moebius_inversion, 64),
+        ("part-count refinement", _part_refinement, 14),
+        ("common-factor scaling bijection", _scaling_bijection, 16),
+    )
 ) + ((_ORDER_72, suite_order_72, 72),)
 
 
-def _ceiling(default: int, max_n: int | None) -> int:
-    return default if max_n is None else min(default, max_n)
-
-
 def _run_unit(index: int, n: int) -> SuiteResult:
-    """Suite `index` at order n alone; the order-72 suite is a single unit."""
-    if index == len(_SUITE_TABLE):
-        return suite_order_72()
-    name, checks, _, _ = _SUITE_TABLE[index]
-    return _run_suite(name, checks, n, n)
+    """Suite `index` at order n alone."""
+    return SUITES[index][1](n)
 
 
-def _merge(units: list[SuiteResult]) -> SuiteResult:
-    """One suite's unit results, in ascending n, as one sequential run reports them.
+def _merge(units: Iterable[SuiteResult], ceiling: int) -> SuiteResult:
+    """One suite's unit results, in ascending n, as one run to `ceiling`.
 
     The run stops at the first failing order: its counterexample stands,
     the checks and seconds of the units up to it are summed, and the
-    units after it are dropped.
+    units after it are never drawn.
     """
     checked = seconds = 0
     for unit in units:
@@ -371,34 +361,31 @@ def _merge(units: list[SuiteResult]) -> SuiteResult:
         seconds += unit.seconds
         if not unit.passed:
             break
-    return replace(unit, checked=checked, ceiling=units[-1].ceiling, seconds=seconds)
+    return replace(unit, checked=checked, ceiling=ceiling, seconds=seconds)
 
 
 def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
-    """Run every suite, optionally split across worker processes.
+    """Run every suite as one unit per order n, optionally across worker processes.
 
-    With more than one worker, each suite runs as one unit per order n,
-    and the units go to the pool largest n first, so the long high orders
-    start at once and the short ones fill in behind them (Graham 1969).
-    Results come back in registry order regardless of completion order,
-    so reports are deterministic. No more workers start than there are
-    suites.
+    One worker runs each suite's units here in ascending n and stops the
+    suite at its first failing order. More workers get the same units
+    largest n first, so the long high orders start at once and the short
+    ones fill in behind them (Graham 1969). Results come back in
+    registry order regardless of completion order, so reports are
+    deterministic. No more workers start than there are suites.
     """
     if max_n is not None and max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {max_n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        return [fn(_ceiling(default, max_n)) for _, fn, default in SUITES]
-    units = [
-        (index, n)
-        for index, (_, _, first, default) in enumerate(_SUITE_TABLE)
-        for n in range(first, _ceiling(default, max_n) + 1)
-    ] + [(len(_SUITE_TABLE), 72)]
-    units.sort(key=lambda unit: (-unit[1], unit[0]))
-    with ProcessPoolExecutor(max_workers=min(workers, len(SUITES))) as pool:
-        by_suite = sorted(zip(units, pool.map(_run_unit, *zip(*units))))
-    return [
-        _merge([result for _, result in group])
-        for _, group in groupby(by_suite, key=lambda pair: pair[0][0])
+    orders = [
+        [ceiling] if name == _ORDER_72 else range(1, min(ceiling, max_n or ceiling) + 1)
+        for name, _, ceiling in SUITES
     ]
+    run = _run_unit
+    if workers > 1:
+        units = sorted(((i, n) for i, ns in enumerate(orders) for n in ns), key=lambda u: (-u[1], u[0]))
+        with ProcessPoolExecutor(max_workers=min(workers, len(SUITES))) as pool:
+            done = dict(zip(units, pool.map(_run_unit, *zip(*units))))
+        run = lambda index, n: done[index, n]
+    return [_merge((run(index, n) for n in ns), ns[-1]) for index, ns in enumerate(orders)]

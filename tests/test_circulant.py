@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circomp.circulant import (
+    CirculantDigraph,
     ConnectionSet,
     build_digraph,
     build_graph,
@@ -154,6 +155,10 @@ class TestGraph:
     def test_rejects_asymmetric_set(self):
         with pytest.raises(ValueError):
             build_graph(ConnectionSet(5, (0, 1)))
+
+    def test_the_undirected_view_rejects_an_asymmetric_set(self):
+        with pytest.raises(ValueError, match="not closed under negation"):
+            CirculantDigraph(ConnectionSet(5, (0, 1)), directed=False)
 
 
 def arc_rule(g):

@@ -511,6 +511,27 @@ class TestBenchmarkTraceHooks:
         assert [key for key, value in before.items() if after[key] is not value] == []
 
 
+@pytest.fixture
+def oracle(monkeypatch):
+    """The benchmark's output oracle, perfbench/oracle.py, which is written without circomp."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    return importlib.import_module("oracle")
+
+
+class TestBenchmarkOracle:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_verify_output_passes_the_benchmark_oracle(self, oracle, workers):
+        code, out, _ = run_cli("verify", "--max-n", "9", "--workers", workers)
+        assert code == 0
+        assert oracle.check_verify(out.encode(), 9, oracle.Sieve(72)) is None
+
+    def test_the_suite_registry_matches_the_oracle(self, oracle):
+        # The order-72 suite has no ranged ceiling in the oracle.
+        assert [name for name, _, _ in verify.SUITES] == [name for name, _, _ in oracle.SUITES]
+        assert [c for _, _, c in verify.SUITES[:-1]] == [c for _, c, _ in oracle.SUITES[:-1]]
+
+
 class TestVerify:
     def test_small_run_passes(self):
         code, out, _ = run_cli("verify", "--max-n", "6")

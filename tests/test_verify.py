@@ -69,27 +69,11 @@ class TestRunSuites:
         assert run_suites(max_n=4, workers=2) == run_suites(max_n=4)
 
     def test_pool_is_capped_at_the_suite_count(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            """Records the requested pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(ReversedPool, "sizes", [])
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
         assert run_suites(max_n=4, workers=100_000) == run_suites(max_n=4)
         assert run_suites(max_n=4, workers=3) == run_suites(max_n=4)
-        assert sizes == [len(SUITES), 3]
+        assert ReversedPool.sizes == [len(SUITES), 3]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -100,7 +84,8 @@ class TestRunSuites:
 
 def connectivity(first, last):
     """The connectivity suite run over n = first..last."""
-    return verify._run_suite("connectivity oracle agreement", verify._connectivity, first, last)
+    unit = dict((name, fn) for name, fn, _ in SUITES)["connectivity oracle agreement"]
+    return verify._merge(map(unit, range(first, last + 1)), last)
 
 
 class TestFaultInjection:
@@ -241,10 +226,15 @@ class TestMutantMatrix:
 
 
 class ReversedPool:
-    """Runs the mapped calls in this process, last first, and returns them in order."""
+    """Runs the mapped calls in this process, last first, and returns them in order.
+
+    Records each requested pool size in `sizes`.
+    """
+
+    sizes: list[int] = []
 
     def __init__(self, max_workers):
-        pass
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -291,11 +281,45 @@ class TestUnits:
             assert {r.name: r.checked for r in run_suites(max_n=top, workers=workers)} == want
 
     def test_results_carry_ceiling_and_seconds(self, monkeypatch):
+        # A failing suite still reports its top order as its ceiling, not the failing n.
         monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
-        for workers in (1, 2):
-            results = run_suites(max_n=9, workers=workers)
-            assert [r.ceiling for r in results] == [min(c, 9) for _, _, c in SUITES[:-1]] + [72]
-            assert all(r.seconds > 0 for r in results)
+        owner, attr, replacement = MUTANTS["gcd criterion ignores the modulus"]
+        for mutant in (None, replacement):
+            with pytest.MonkeyPatch.context() as patch:
+                if mutant:
+                    patch.setattr(owner, attr, mutant)
+                for workers in (1, 2):
+                    results = run_suites(max_n=9, workers=workers)
+                    assert all(r.passed for r in results) == (mutant is None)
+                    assert [r.ceiling for r in results] == [min(c, 9) for _, _, c in SUITES[:-1]] + [72]
+                    assert all(r.seconds > 0 for r in results)
+
+    def test_one_worker_runs_no_order_past_a_suites_first_failure(self, monkeypatch):
+        owner, attr, replacement = MUTANTS["prime count off at 6"]
+        monkeypatch.setattr(owner, attr, replacement)
+        calls = {name: [] for name, _, _ in SUITES}
+
+        def recording(name, unit):
+            def run(n):
+                result = unit(n)
+                calls[name].append((n, result.passed))
+                return result
+
+            return run
+
+        monkeypatch.setattr(verify, "SUITES", tuple((name, recording(name, fn), c) for name, fn, c in SUITES))
+        results = run_suites(max_n=9)
+        last = {r.name: calls[r.name][-1][0] for r in results if not r.passed}
+        assert last == {
+            "count formulas vs enumeration": 6,
+            "divisor-sum inversion identity": 6,
+            "common-factor scaling bijection": 6,
+            "order-72 recomputation": 72,
+        }
+        for (name, _, ceiling), result in zip(SUITES, results):
+            top = last.get(name, min(ceiling, 9))
+            orders = [72] if ceiling == 72 else list(range(1, top + 1))
+            assert calls[name] == [(n, n != last.get(name)) for n in orders]
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_successor_walk_equals_the_per_mask_route(self, n):
