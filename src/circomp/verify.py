@@ -279,25 +279,24 @@ def _part_refinement(n: int) -> Checks:
 
 
 def _scaling_bijection(n: int) -> Checks:
-    """Dividing by the gcd maps words with gcd d one-to-one onto coprime words of n/d."""
-    by_gcd: dict[int, set[tuple[int, ...]]] = {}
+    """Dividing by the gcd maps words with gcd d one-to-one onto coprime words of n/d.
+
+    Division keeps mask bits d-1, 2d-1, ..., so it preserves mask order: in one
+    pass, each word of gcd d, divided by d, must be the next coprime word of n/d.
+    """
+    targets = {d: (t for t in iter_family(n // d, "compositions") if t.gcd() == 1) for d in divisors(n)}
+    sizes = dict.fromkeys(targets, 0)
     for c in iter_family(n, "compositions"):
-        by_gcd.setdefault(c.gcd(), set()).add(c.parts)
-        yield 1, None
-    divs = divisors(n)
-    if not by_gcd.keys() <= set(divs):
-        yield 0, f"n={n}, d={min(by_gcd.keys() - set(divs))}: not a divisor of n"
-    for d in divs:  # every class, so a class the scan misses meets its target
-        words = by_gcd.get(d, set())
-        images = {tuple(p // d for p in parts) for parts in words}
-        if len(images) != len(words):
-            yield 0, f"n={n}, d={d}: images collide"
-        target = {c.parts for c in iter_family(n // d, "compositions") if c.gcd() == 1}
-        if images != target:
-            yield 0, f"n={n}, d={d}: image mismatch"
-        # Sized by the closed form, so a word the stream drops from both sides fails.
-        if len(words) != count_prime_compositions(n // d):
-            yield 0, f"n={n}, d={d}: {len(words)} words vs {count_prime_compositions(n // d)} counted"
+        d = c.gcd()
+        if d not in targets:
+            yield 1, f"n={n}, d={d}: word {c}, and d is not a divisor of n"
+        image, want = Composition(tuple(p // d for p in c.parts)), next(targets[d], None)
+        sizes[d] += 1
+        yield 1, None if image == want else f"n={n}, d={d}: word {c} maps to {image}, not {want}"
+    # Sized by the closed form, so a class the scan misses, or a word both sides drop, fails.
+    for d, size in sizes.items():
+        if size != count_prime_compositions(n // d):
+            yield 0, f"n={n}, d={d}: {size} words vs {count_prime_compositions(n // d)} counted"
 
 
 def suite_order_72(_n: int = 72) -> SuiteResult:

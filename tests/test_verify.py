@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -56,6 +57,13 @@ def low_boundary_shifted(k, sets, spell):
 def without_word_7(n, family):
     """Deliberately broken stream: the word 7, alone in its gcd class, goes missing."""
     return (c for c in counting.iter_family(n, family) if c != Composition((7,)))
+
+
+def class_2_swapped(n, family):
+    """Deliberately broken stream: the compositions 2,4 and 4,2 of 6 (both gcd 2) trade places."""
+    swap = {Composition((2, 4)): Composition((4, 2)), Composition((4, 2)): Composition((2, 4))}
+    items = counting.iter_family(n, family)
+    return items if (n, family) != (6, "compositions") else (swap.get(c, c) for c in items)
 
 
 class TestRunSuites:
@@ -128,7 +136,7 @@ class TestFaultInjection:
         result = results["common-factor scaling bijection"]
         assert not result.passed
         assert result.checked == 126  # 2^0 + ... + 2^5 words, then the 63 left at n = 7
-        assert result.counterexample == "n=7, d=7: image mismatch"
+        assert result.counterexample == "n=7, d=7: 0 words vs 1 counted"
 
     def test_a_dropped_word_fails_the_scaling_bijection_by_its_class_size(self, monkeypatch):
         monkeypatch.setattr(verify, "iter_family", without(Composition((2, 3))))
@@ -137,6 +145,27 @@ class TestFaultInjection:
         assert not result.passed
         assert result.checked == 30  # 2^0 + ... + 2^3 words, then the 15 left at n = 5
         assert result.counterexample == "n=5, d=1: 14 words vs 15 counted"
+
+    def test_a_gcd_class_out_of_order_fails_the_scaling_bijection_at_the_word(self, monkeypatch):
+        monkeypatch.setattr(verify, "iter_family", class_2_swapped)
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["common-factor scaling bijection"]
+        assert not result.passed
+        assert result.checked == 34  # 2^0 + ... + 2^4 words, then 6, 1,5 and 4,2 at n = 6
+        assert result.counterexample == "n=6, d=2: word 4,2 maps to 2,1, not 1,2"
+
+    def test_the_scaling_bijection_holds_no_set_of_words(self):
+        # Each gcd class is compared with its target stream item by item, so the
+        # peak stays near one block of words; per-class sets of the 2^15 words
+        # of n = 16 peaked near 17 MB.
+        tracemalloc.start()
+        try:
+            result = verify._run_order("scaling", verify._scaling_bijection, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and result.checked == 2**15
+        assert peak < 4 * 2**20
 
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
@@ -194,6 +223,7 @@ MUTANTS = {
         ConnectionSet, "gcd", lambda self: math.gcd(*self.elements)
     ),
     "gcd class 7 dropped": (verify, "iter_family", without_word_7),
+    "a gcd class out of order": (verify, "iter_family", class_2_swapped),
     "gcd criterion ignores the modulus": (verify, "is_connected_by_gcd", literal_gcd_connected),
     "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
 }
@@ -217,7 +247,11 @@ class TestMutantMatrix:
         assert all(any(row) for row in kills.values()), matrix
         # The scaling suite sizes every gcd class by the closed form, so it
         # also catches a dropped word whose class stays non-empty.
-        assert kills["composition 2,3 dropped"][names.index("common-factor scaling bijection")]
+        scaling = names.index("common-factor scaling bijection")
+        assert kills["composition 2,3 dropped"][scaling]
+        # It compares each gcd class with its target stream in order, so it
+        # catches a class whose words trade places.
+        assert kills["a gcd class out of order"][scaling]
         # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count,
         # and compares them with the symmetric-set stream, so it catches that stream's order.
         symmetry = names.index("symmetry vs palindromicity")
