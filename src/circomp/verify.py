@@ -12,7 +12,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Any, Callable, Iterable, Iterator
 
 from .compositions import Composition
@@ -199,31 +199,27 @@ def _connectivity(n: int) -> Checks:
 
 
 def _palindrome_bijection(n: int) -> Checks:
-    """Aperiodic palindromes map one-to-one onto symmetric generating sets."""
+    """Aperiodic palindromes map one-to-one onto symmetric generating sets.
+
+    Tau inverse sends the set with gap word u repeated d times to u times d (gcd d); set
+    and word order like u's mask at order n/d, so each image is the next of its gcd class.
+    """
     if n < 2:
         return
-    aperiodic = list(iter_family(n, "aperiodic_palindromes"))
-    targets = {s for s in iter_family(n, "connection_sets") if s.is_symmetric() and s.gcd() == 1}
-    images = []
-    for c in aperiodic:
-        try:
-            images.append(connected_set_of(c))
-        except ValueError as exc:  # the stream yielded a word outside the domain
-            yield 0, f"n={n}, word {c}: {exc}"
-    yield len(aperiodic) + len(targets), None
-    if len(set(images)) != len(images):
-        yield 0, f"n={n}: images collide"
-    if set(images) != targets:
-        stray = set(images) ^ targets
-        yield 0, f"n={n}: image mismatch at {min(stray, key=lambda s: s.elements)}"
-    if len(aperiodic) != count_aperiodic_palindromes(n):
-        yield 0, f"n={n}: {len(aperiodic)} enumerated vs {count_aperiodic_palindromes(n)} counted"
-    for c in aperiodic:
-        if aperiodic_palindrome_of(connected_set_of(c)) != c:
-            yield 0, f"n={n}, word {c}"
-    for s in targets:
-        if connected_set_of(aperiodic_palindrome_of(s)) != s:
-            yield 0, f"n={n}, set {s}"
+    # d=d binds each stream's own divisor; a generator expression would see the last.
+    words = {d: filter(lambda c, d=d: c.gcd() == d, iter_family(n, "aperiodic_palindromes")) for d in divisors(n)}
+    sets = 0
+    for s in filter(lambda s: s.is_symmetric() and s.gcd() == 1, iter_family(n, "connection_sets")):
+        c, sets = aperiodic_palindrome_of(s), sets + 1
+        want = next(words.get(c.gcd(), iter(())), "none left")
+        if c != want:
+            yield 2, f"n={n}, set {s}: word {c} is not the next word of its class, {want}"
+        back = connected_set_of(c)
+        yield 2, None if back == s else f"n={n}, set {s}: word {c} maps back to another set, {back}"
+    for c in chain.from_iterable(words.values()):
+        yield 0, f"n={n}: word {c} is the image of no set"
+    if sets != count_aperiodic_palindromes(n):
+        yield 0, f"n={n}: {sets} enumerated vs {count_aperiodic_palindromes(n)} counted"
 
 
 def _count_oracles(n: int) -> Checks:

@@ -125,10 +125,29 @@ class TestFaultInjection:
         assert not result.passed
         assert result.checked == 7
         assert result.counterexample.startswith("n=3:")
+        # The word 1,2 of n = 3 passes the aperiodicity filter, and no set maps to it.
         result = results["aperiodic palindrome bijection"]
         assert not result.passed
-        assert result.checked == 2
-        assert result.counterexample == "n=3, word 1,2: 1,2 is not a palindrome"
+        assert result.checked == 4
+        assert result.counterexample == "n=3: word 1,2 is the image of no set"
+
+    def test_a_class_out_of_order_fails_the_palindrome_bijection_at_the_set(self, monkeypatch):
+        monkeypatch.setattr(counting, "_palindromes", even_middles_swapped)
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["aperiodic palindrome bijection"]
+        assert not result.passed
+        assert result.checked == 18  # 2 per set of n = 2..5, then 6: 0,2,3,4 and 6: 0,1,5
+        assert result.counterexample == (
+            "n=6, set 6: 0,1,5: word 1,4,1 is not the next word of its class, 1,2,2,1"
+        )
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_the_palindrome_bijection_holds_past_its_ceiling(self, n):
+        # One odd and one even order past the suite's ceiling of 16, which no
+        # verify run reaches: every gcd class must still keep mask order.
+        result = verify._run_order("bijection", verify._palindrome_bijection, n)
+        assert result.passed
+        assert result.checked == 2 * counting.count_aperiodic_palindromes(n)
 
     def test_a_missing_gcd_class_fails_the_scaling_bijection(self, monkeypatch):
         monkeypatch.setattr(verify, "iter_family", without_word_7)
@@ -257,6 +276,11 @@ class TestMutantMatrix:
         symmetry = names.index("symmetry vs palindromicity")
         assert kills["palindrome count off at 6"][symmetry]
         assert kills["symmetric sets out of order"][symmetry]
+        # The bijection suite compares each gcd class with the sets in mask order, so it
+        # catches palindromes out of order and a gcd class with no stream.
+        bijection = names.index("aperiodic palindrome bijection")
+        assert kills["even-n middles swapped"][bijection]
+        assert kills["divisors without n"][bijection]
 
 
 class ReversedPool:
@@ -363,13 +387,13 @@ class TestUnits:
 
 class TestImageMismatch:
     def test_names_the_first_stray_set_instead_of_raising(self, monkeypatch):
-        # Without the rescaling, the word 2 of n = 2 maps to {0}, which generates nothing.
+        # Without the rescaling, the word 2 of n = 2 maps back to {0}, not to its set {0, 1}.
         monkeypatch.setattr(verify, "connected_set_of", prefix_sum_set)
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["aperiodic palindrome bijection"]
         assert not result.passed
         assert result.checked == 2
-        assert result.counterexample == "n=2: image mismatch at 2: 0"
+        assert result.counterexample == "n=2, set 2: 0,1: word 2 maps back to another set, 2: 0"
 
 
 class TestOrder72:
