@@ -27,8 +27,12 @@ class ConnectionSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
         n, elems = self.modulus, self.elements
+        if type(n) is not int:
+            raise ValueError(f"modulus must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"modulus must be >= 1, got {n}")
+        if not all(type(a) is int for a in elems):
+            raise ValueError(f"elements must be integers: {elems}")
         if not elems or elems[0] != 0:
             raise ValueError(f"connection set must contain 0: {elems}")
         if any(a >= b for a, b in zip(elems, elems[1:])):

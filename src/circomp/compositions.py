@@ -23,7 +23,7 @@ class Composition:
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("composition needs at least one part")
-        if any(p < 1 for p in self.parts):
+        if not all(type(p) is int and p > 0 for p in self.parts):
             raise ValueError(f"parts must be positive integers: {self.parts}")
 
     @classmethod

@@ -132,13 +132,27 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
     block kernel: the dense ones at order n, the palindromic ones from
     their first halves, the compositions of ceil(n/2), so they cost no
     scan of all 2^(n-1) masks. The palindromic families follow the
-    convention that they are defined for n >= 2 only.
+    convention that they are defined for n >= 2 only. Each member wraps
+    one tuple of _words(n, family), the only listing path; verify's
+    count and scaling suites compare those tuples themselves, chunk by
+    chunk with the successor walk and class by class with the coprime
+    words of n/d.
     """
-    items = chain.from_iterable(_listed(n, family).blocks(n, family, _TUPLES))
+    items = _words(n, family)
     # The kernel's tuples are members by construction: no re-validation.
     if family.endswith("connection_sets"):
         return map(partial(ConnectionSet._unchecked, n), items)
     return map(Composition._unchecked, items)
+
+
+def _words(n: int, family: str) -> Iterator[tuple[int, ...]]:
+    """The members of the named family at order n as the kernel's raw tuples.
+
+    A composition's parts or a connection set's elements, in the order
+    of iter_family, which wraps them. The order and family are checked
+    at the call.
+    """
+    return chain.from_iterable(_listed(n, family).blocks(n, family, _TUPLES))
 
 
 def _listed(n: int, family: str) -> _Family:

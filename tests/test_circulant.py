@@ -57,6 +57,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConnectionSet(n, elems)
 
+    @pytest.mark.parametrize(
+        "n,elems,message",
+        [
+            (4, (0, 1.0), "elements must be"),
+            (4, (0.0, 1), "elements must be"),
+            (4.0, (0, 1), "modulus must be"),
+            (True, (0,), "modulus must be"),
+        ],
+    )
+    def test_constructor_rejects_non_integers(self, n, elems, message):
+        with pytest.raises(ValueError, match=message):
+            ConnectionSet(n, elems)
+        with pytest.raises(ValueError, match=message):
+            ConnectionSet.from_members(n, elems)
+
 
 class TestInverse:
     @pytest.mark.parametrize(

@@ -37,6 +37,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Composition(bad)
 
+    @pytest.mark.parametrize("bad", [(1.5, 2.5), (1.0,), (2, 1.0), ("1",), (True, 2)])
+    def test_rejects_non_integer_parts(self, bad):
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            Composition(bad)
+
     def test_list_input_coerced_and_hashable(self):
         c = Composition([2, 1, 2])
         assert c.parts == (2, 1, 2)

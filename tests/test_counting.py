@@ -2,7 +2,7 @@ import decimal
 import json
 import math
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 
 import pytest
 import sympy
@@ -232,6 +232,79 @@ class TestIterFamily:
             == count_aperiodic_palindromes(n)
         )
         assert sum(1 for _ in iter_family(n, "symmetric_connection_sets")) == count_palindromes(n)
+
+
+def mask_of(item):
+    """The mask of a word (the bits of its prefix sums) or of a set (its nonzero elements)."""
+    points = accumulate(item.parts[:-1]) if isinstance(item, Composition) else item.elements[1:]
+    return sum(1 << (p - 1) for p in points)
+
+
+# family -> (closed-form size, membership at order n)
+PALINDROMIC = {
+    "palindromes": (count_palindromes, lambda n, c: Composition(c.parts).total == n and c.is_palindrome()),
+    "aperiodic_palindromes": (
+        count_aperiodic_palindromes,
+        lambda n, c: Composition(c.parts).total == n and c.is_palindrome() and c.is_aperiodic(),
+    ),
+    "symmetric_connection_sets": (
+        count_palindromes,
+        lambda n, s: ConnectionSet(s.modulus, s.elements).modulus == n and s.is_symmetric(),
+    ),
+}
+
+
+def palindromic_oracle(n, family):
+    """(every item is a member, the masks strictly ascend, the length is the closed form).
+
+    All three together say the stream is exactly the family, in mask
+    order, without a scan of the 2^(n-1) masks.
+    """
+    size, member = PALINDROMIC[family]
+    items = list(iter_family(n, family))
+    masks = [mask_of(x) for x in items]
+    return (
+        all(member(n, x) for x in items),
+        all(a < b for a, b in zip(masks, masks[1:])),
+        len(items) == size(n),
+    )
+
+
+PALINDROMES = counting._palindromes
+
+
+def second_high_half_swapped(n):
+    """The palindromes of n with the first two words of the second high half traded.
+
+    A high half holds 2^10 words of the kernel at order ceil(n/2), one
+    palindrome each for odd n and two for even n; from n = 23 on there
+    is a second one.
+    """
+    words = list(PALINDROMES(n))
+    i = (1 << 10) * (2 - n % 2)
+    if i + 1 < len(words):
+        words[i], words[i + 1] = words[i + 1], words[i]
+    return iter(words)
+
+
+class TestPalindromicOracle:
+    @pytest.mark.parametrize("family", PALINDROMIC)
+    @pytest.mark.parametrize("n", range(21, 29))
+    def test_members_in_ascending_mask_order_and_counted(self, n, family):
+        assert palindromic_oracle(n, family) == (True, True, True)
+
+    @pytest.mark.parametrize("n", [23, 24])
+    def test_a_swap_past_the_first_high_half_fails_only_the_mask_order(self, n, monkeypatch):
+        monkeypatch.setattr(counting, "_palindromes", second_high_half_swapped)
+        # The stream checks made before this oracle all still pass.
+        words = [c.parts for c in iter_family(n, "palindromes")]
+        assert words == list(counting._palindromes(n))
+        assert [prefix_sum_set(Composition(w)) for w in words] == list(
+            iter_family(n, "symmetric_connection_sets")
+        )
+        for family in PALINDROMIC:
+            assert sum(1 for _ in iter_family(n, family)) == PALINDROMIC[family][0](n)
+            assert palindromic_oracle(n, family) == (True, False, True)
 
 
 class TestBlockKernel:

@@ -54,16 +54,25 @@ def low_boundary_shifted(k, sets, spell):
     return [(low, p - (len(low) == 2), d) for low, p, d in LOW_TABLE(k, sets, spell)]
 
 
+WORDS = counting._words
+
+
 def without_word_7(n, family):
     """Deliberately broken stream: the word 7, alone in its gcd class, goes missing."""
-    return (c for c in counting.iter_family(n, family) if c != Composition((7,)))
+    return (w for w in WORDS(n, family) if w != (7,))
 
 
 def class_2_swapped(n, family):
     """Deliberately broken stream: the compositions 2,4 and 4,2 of 6 (both gcd 2) trade places."""
-    swap = {Composition((2, 4)): Composition((4, 2)), Composition((4, 2)): Composition((2, 4))}
-    items = counting.iter_family(n, family)
-    return items if (n, family) != (6, "compositions") else (swap.get(c, c) for c in items)
+    swap = {(2, 4): (4, 2), (4, 2): (2, 4)}
+    words = WORDS(n, family)
+    return words if (n, family) != (6, "compositions") else (swap.get(w, w) for w in words)
+
+
+def last_composition_dropped(n, family):
+    """Deliberately broken stream: every compositions stream stops one word short."""
+    words = WORDS(n, family)
+    return words if family != "compositions" else iter(list(words)[:-1])
 
 
 class TestRunSuites:
@@ -150,7 +159,7 @@ class TestFaultInjection:
         assert result.checked == 2 * counting.count_aperiodic_palindromes(n)
 
     def test_a_missing_gcd_class_fails_the_scaling_bijection(self, monkeypatch):
-        monkeypatch.setattr(verify, "iter_family", without_word_7)
+        monkeypatch.setattr(counting, "_words", without_word_7)
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["common-factor scaling bijection"]
         assert not result.passed
@@ -158,7 +167,7 @@ class TestFaultInjection:
         assert result.counterexample == "n=7, d=7: 0 words vs 1 counted"
 
     def test_a_dropped_word_fails_the_scaling_bijection_by_its_class_size(self, monkeypatch):
-        monkeypatch.setattr(verify, "iter_family", without(Composition((2, 3))))
+        monkeypatch.setattr(counting, "_words", without((2, 3)))
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["common-factor scaling bijection"]
         assert not result.passed
@@ -166,12 +175,52 @@ class TestFaultInjection:
         assert result.counterexample == "n=5, d=1: 14 words vs 15 counted"
 
     def test_a_gcd_class_out_of_order_fails_the_scaling_bijection_at_the_word(self, monkeypatch):
-        monkeypatch.setattr(verify, "iter_family", class_2_swapped)
+        monkeypatch.setattr(counting, "_words", class_2_swapped)
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["common-factor scaling bijection"]
         assert not result.passed
         assert result.checked == 34  # 2^0 + ... + 2^4 words, then 6, 1,5 and 4,2 at n = 6
         assert result.counterexample == "n=6, d=2: word 4,2 maps to 2,1, not 1,2"
+
+    def test_a_stream_one_word_short_fails_the_count_suite_at_once(self, monkeypatch):
+        monkeypatch.setattr(counting, "_words", last_composition_dropped)
+        results = {r.name: r for r in run_suites(max_n=9)}
+        result = results["count formulas vs enumeration"]
+        assert not result.passed
+        assert result.checked == 0
+        assert result.counterexample == "n=1, mask 0: the kernel gives None, the mask route 1"
+
+    @pytest.mark.parametrize(
+        "n,fault,mask,got,want",
+        [
+            # The 2^10 words of n = 11 and 2^11 of n = 12 fill whole chunks, with no word over.
+            (11, lambda w: w + [(11,)], None, "11", "None"),
+            (12, lambda w: w + [(12,)], None, "12", "None"),
+            (12, lambda w: w[:-1], 2047, "None", ",".join(["1"] * 12)),
+        ],
+    )
+    def test_a_stream_past_or_short_of_the_walk_fails_in_its_last_chunk(
+        self, n, fault, mask, got, want, monkeypatch
+    ):
+        broken = lambda m, family: iter(fault(list(WORDS(m, family))))
+        monkeypatch.setattr(counting, "_words", broken)
+        result = verify._run_order("count", verify._count_oracles, n)
+        assert not result.passed and result.checked == 0
+        assert result.counterexample == f"n={n}, mask {mask}: the kernel gives {got}, the mask route {want}"
+
+    def test_a_swap_in_the_second_kernel_block_names_its_first_mask(self, monkeypatch):
+        # n = 12 has two kernel blocks of 2^10 words; the chunk that differs is
+        # searched for the first stray mask.
+        def swapped(n, family):
+            words = list(WORDS(n, family))
+            words[1030], words[1040] = words[1040], words[1030]
+            return iter(words)
+
+        monkeypatch.setattr(counting, "_words", swapped)
+        result = verify._run_order("count", verify._count_oracles, 12)
+        assert not result.passed and result.checked == 0
+        stray, want = (Composition(verify._gaps_of_mask(12, m)) for m in (1040, 1030))
+        assert result.counterexample == f"n=12, mask 1030: the kernel gives {stray}, the mask route {want}"
 
     def test_the_scaling_bijection_holds_no_set_of_words(self):
         # Each gcd class is compared with its target stream item by item, so the
@@ -209,8 +258,8 @@ def off_at_6(count):
 
 
 def without(word):
-    """A stream of the named family with one composition missing."""
-    return lambda n, family: (c for c in counting.iter_family(n, family) if c != word)
+    """A stream of the named family with one word missing."""
+    return lambda n, family: (w for w in WORDS(n, family) if w != word)
 
 
 # name -> (owner, attribute, replacement): each mutant breaks one library function.
@@ -234,17 +283,18 @@ MUTANTS = {
     "part counts shifted by one": (
         verify, "count_compositions_with_parts", lambda n, k: math.comb(n - 1, k)
     ),
-    "composition 2,3 dropped": (verify, "iter_family", without(Composition((2, 3)))),
+    "composition 2,3 dropped": (counting, "_words", without((2, 3))),
     "_palindromes low half only": (counting, "_palindromes", low_masks),
     "even-n middles swapped": (counting, "_palindromes", even_middles_swapped),
     "symmetric sets out of order": (verify, "iter_family", symmetric_sets_swapped),
     "gcd predicate ignores the modulus": (
         ConnectionSet, "gcd", lambda self: math.gcd(*self.elements)
     ),
-    "gcd class 7 dropped": (verify, "iter_family", without_word_7),
-    "a gcd class out of order": (verify, "iter_family", class_2_swapped),
+    "gcd class 7 dropped": (counting, "_words", without_word_7),
+    "a gcd class out of order": (counting, "_words", class_2_swapped),
     "gcd criterion ignores the modulus": (verify, "is_connected_by_gcd", literal_gcd_connected),
     "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
+    "last composition dropped": (counting, "_words", last_composition_dropped),
 }
 
 
@@ -271,6 +321,14 @@ class TestMutantMatrix:
         # It compares each gcd class with its target stream in order, so it
         # catches a class whose words trade places.
         assert kills["a gcd class out of order"][scaling]
+        # The count suite compares the kernel's compositions with the successor
+        # walk chunk by chunk, so it catches every fault of that stream.
+        count = names.index("count formulas vs enumeration")
+        for mutant in (
+            "composition 2,3 dropped", "gcd class 7 dropped", "a gcd class out of order",
+            "last composition dropped",
+        ):
+            assert kills[mutant][count], mutant
         # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count,
         # and compares them with the symmetric-set stream, so it catches that stream's order.
         symmetry = names.index("symmetry vs palindromicity")
