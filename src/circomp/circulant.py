@@ -13,39 +13,42 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Iterator
 
+from ._value import Value
 
-@dataclass(frozen=True)
-class ConnectionSet:
+
+class ConnectionSet(Value):
     """Strictly increasing subset of Z_n whose smallest element is 0."""
 
+    __slots__ = _fields = ("modulus", "elements")
     modulus: int
     elements: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        n, elems = self.modulus, self.elements
-        if type(n) is not int:
-            raise ValueError(f"modulus must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"modulus must be >= 1, got {n}")
-        if not all(type(a) is int for a in elems):
+    def __init__(self, modulus: int, elements: tuple[int, ...]) -> None:
+        elems = tuple(elements)
+        if type(modulus) is not int:
+            raise ValueError(f"modulus must be an integer, got {modulus!r}")
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if not {int}.issuperset(map(type, elems)):
             raise ValueError(f"elements must be integers: {elems}")
         if not elems or elems[0] != 0:
             raise ValueError(f"connection set must contain 0: {elems}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not all(map(lt, elems, elems[1:])):
             raise ValueError(f"elements must be strictly increasing: {elems}")
-        if elems[-1] >= n:
-            raise ValueError(f"elements must lie in [0, {n}): {elems}")
+        if elems[-1] >= modulus:
+            raise ValueError(f"elements must lie in [0, {modulus}): {elems}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "elements", elems)
 
     @classmethod
     def _unchecked(cls, modulus: int, elements: tuple[int, ...]) -> ConnectionSet:
         """Wrap a canonical element tuple that is valid by construction.
 
-        Skips ``__post_init__``; only the enumerators use it, on sets
-        they build themselves. The public constructor always validates.
+        Skips the checks of ``__init__``; only the enumerators use it, on
+        sets they build themselves. The public constructor always validates.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "modulus", modulus)
@@ -56,11 +59,18 @@ class ConnectionSet:
     def from_members(cls, modulus: int, members: Iterable[int]) -> ConnectionSet:
         """Canonicalize arbitrary members: reduce mod n, deduplicate, sort.
 
-        The reduced set must contain 0; nothing is inserted silently.
+        The reduced set must contain 0; nothing is inserted silently. The
+        modulus and every member must be an int, checked before any
+        arithmetic, so a wrong type raises ValueError as in the constructor.
         """
+        if type(modulus) is not int:
+            raise ValueError(f"modulus must be an integer, got {modulus!r}")
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        reduced = sorted({m % modulus for m in members})
+        listed = tuple(members)
+        if not {int}.issuperset(map(type, listed)):
+            raise ValueError(f"elements must be integers: {members!r}")
+        reduced = sorted({m % modulus for m in listed})
         if not reduced or reduced[0] != 0:
             raise ValueError(f"connection set must contain 0 (mod {modulus}): {members!r}")
         return cls(modulus, tuple(reduced))
@@ -109,8 +119,7 @@ def parse_connection_set(text: str) -> ConnectionSet:
     return ConnectionSet.from_members(modulus, members)
 
 
-@dataclass(frozen=True)
-class CirculantDigraph:
+class CirculantDigraph(Value):
     """(Di)graph on Z_n with an arc i -> i+s for every nonzero step s.
 
     Adjacency is answered arithmetically; arc and edge sequences are
@@ -118,14 +127,17 @@ class CirculantDigraph:
     view, whose connection set must be symmetric.
     """
 
+    __slots__ = _fields = ("connection", "directed")
     connection: ConnectionSet
-    directed: bool = True
+    directed: bool
 
-    def __post_init__(self) -> None:
-        if not (self.directed or self.connection.is_symmetric()):
+    def __init__(self, connection: ConnectionSet, directed: bool = True) -> None:
+        if not (directed or connection.is_symmetric()):
             raise ValueError(
-                f"{self.connection} is not closed under negation; it defines a digraph only"
+                f"{connection} is not closed under negation; it defines a digraph only"
             )
+        object.__setattr__(self, "connection", connection)
+        object.__setattr__(self, "directed", directed)
 
     @property
     def order(self) -> int:

@@ -10,28 +10,30 @@ rescaling that trades a common factor d for a d-fold repetition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Value):
     """An ordered word of one or more positive integer parts."""
 
+    __slots__ = _fields = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("composition needs at least one part")
-        if not all(type(p) is int and p > 0 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts}")
+        if not ({int}.issuperset(map(type, parts)) and min(parts) > 0):
+            raise ValueError(f"parts must be positive integers: {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def _unchecked(cls, parts: tuple[int, ...]) -> Composition:
         """Wrap a tuple of positive parts that is valid by construction.
 
-        Skips ``__post_init__``; only the enumerators use it, on words
-        they build themselves. The public constructor always validates.
+        Skips the checks of ``__init__``; only the enumerators use it, on
+        words they build themselves. The public constructor always validates.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "parts", parts)

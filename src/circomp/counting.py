@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 from itertools import accumulate, chain, islice
-from dataclasses import make_dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .compositions import Composition
 from .circulant import ConnectionSet
+from ._value import Value
 
 
 def divisors(n: int) -> list[int]:
@@ -297,12 +297,31 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(name for name, family in _FAMILY_TABLE.items() if family.blocks)
 _COUNTED = tuple(name for name, family in _FAMILY_TABLE.items() if family.count)
 
-CountRow = make_dataclass(
-    "CountRow",
-    [("n", int)] + [(name, int) for name in _COUNTED],
-    frozen=True,
-    namespace={"__doc__": "The five family sizes at one order n.", "__module__": __name__},
-)
+
+class CountRow(Value):
+    """The five family sizes at one order n."""
+
+    # The count table's columns, in order; __init__ takes them in the same order.
+    # A row keeps an instance __dict__, so vars(row) maps each column to its count.
+    _fields = ("n", *_COUNTED)
+
+    def __init__(
+        self,
+        n: int,
+        compositions: Any,
+        prime_compositions: Any,
+        disconnected: Any,
+        palindromes: Any,
+        aperiodic_palindromes: Any,
+    ) -> None:
+        self.__dict__.update(
+            n=n,
+            compositions=compositions,
+            prime_compositions=prime_compositions,
+            disconnected=disconnected,
+            palindromes=palindromes,
+            aperiodic_palindromes=aperiodic_palindromes,
+        )
 
 
 def count_row(n: int, *, two: Callable[[int], Any] = _TWO) -> CountRow:

@@ -72,6 +72,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             ConnectionSet.from_members(n, elems)
 
+    @pytest.mark.parametrize(
+        "n,members,message",
+        [
+            ("4", {0}, "modulus must be an integer, got '4'"),
+            (4, {0, "1"}, "elements must be integers"),
+            (4, [0, True], "elements must be integers"),
+        ],
+    )
+    def test_from_members_checks_types_before_reducing(self, n, members, message):
+        with pytest.raises(ValueError, match=message):
+            ConnectionSet.from_members(n, members)
+
 
 class TestInverse:
     @pytest.mark.parametrize(

@@ -473,6 +473,14 @@ class TestFreshProcess:
         guarded = ("circomp.verify", "concurrent.futures", "multiprocessing", "json")
         assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
 
+    def test_import_loads_no_dataclasses(self):
+        # -S skips the host's site hooks, which may import dataclasses themselves.
+        code = "import sys, circomp.cli; print('dataclasses' in sys.modules)"
+        proc = child("-S", "-c", code, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out == "False\n"
+
     def test_verify_still_loads_its_suites(self):
         proc = child("-m", "circomp.cli", "verify", "--max-n", "4", text=True)
         out, err = proc.communicate(timeout=120)
