@@ -78,10 +78,10 @@ def connected_set_of(palindrome: Composition) -> ConnectionSet:
 def aperiodic_palindrome_of(connection: ConnectionSet) -> Composition:
     """Inverse of :func:`connected_set_of` on symmetric generating sets.
 
-    The gap word of such a set is a palindrome with coprime parts. If it
-    is aperiodic it is returned as is; if it is a block repeated r times,
-    multiplying every part of the block by r gives the unique aperiodic
-    palindrome whose rescaling maps back to this set.
+    The gap word of such a set is a palindrome with coprime parts, a
+    block repeated r times (r = 1 when it is aperiodic). Multiplying
+    every part of the block by r gives the unique aperiodic palindrome
+    whose rescaling maps back to this set.
     """
     if connection.modulus < 2:
         raise ValueError("defined for modulus >= 2 only")
@@ -91,7 +91,5 @@ def aperiodic_palindrome_of(connection: ConnectionSet) -> Composition:
         raise ValueError(f"{connection} does not generate Z_{connection.modulus}")
     word = gap_composition(connection)
     p = word.period()
-    if p == word.part_count:
-        return word
     r = word.part_count // p
     return Composition(tuple(part * r for part in word.parts[:p]))

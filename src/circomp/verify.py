@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, islice, zip_longest
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import counting
 from .compositions import Composition
@@ -73,20 +73,6 @@ def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResul
     return SuiteResult(name, counterexample is None, checked, n, counterexample, seconds=seconds)
 
 
-def _brute_compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every composition of n by direct recursion on the first part.
-
-    Deliberately avoids the bitmask machinery so it can serve as an
-    independent second route.
-    """
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _brute_compositions(n - first):
-            yield (first,) + rest
-
-
 def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
     """The gap words of masks 0, 1, ..., 2^(n-1) - 1, each derived from the last.
 
@@ -95,7 +81,8 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
     clears those bits and sets bit t, so the word of m + 1 is
     (t + 1, g - 1) followed by the same rest. Uses no bit loop over the
     mask, so it is a route independent of the kernel and of the
-    per-mask decoding.
+    per-mask decoding: the round-trip, count and part-count suites all
+    enumerate the compositions of n through it.
     """
     word = (n,)
     yield word
@@ -148,26 +135,25 @@ def _spelled(word: tuple[int, ...] | None) -> str:
 _CHUNK = 1 << 8
 
 
-def _masks(n: int, *streams: Iterator[Any]) -> Iterator[tuple[Any, ...]]:
-    """Pair mask m with item m of each stream; None where any runs out."""
-    return zip_longest(range(count_compositions(n)), *streams)
-
-
 def _round_trips(n: int) -> Checks:
     """Gap word and prefix-sum set invert each other, preserving part counts.
 
-    The sets also check the block kernel against the per-mask route.
+    The sets also check the block kernel against the per-mask route. The
+    words come from the successor walk, which must give all 2^(n-1) of them.
     """
-    for m, s in _masks(n, iter_family(n, "connection_sets")):
+    for m, s in zip_longest(range(count_compositions(n)), iter_family(n, "connection_sets")):
         want = None if m is None else _set_of_mask(n, m)
         if s != want:
             yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
         c = gap_composition(s)
         bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
         yield 1, f"n={n}, set {s}" if bad else None
-    for parts in _brute_compositions(n):
-        c = Composition(parts)
+    words = 0
+    for parts in _successor_words(n):
+        c, words = Composition(parts), words + 1
         yield 1, f"n={n}, word {c}" if gap_composition(prefix_sum_set(c)) != c else None
+    if words != count_compositions(n):
+        yield 0, f"n={n}: {words} words round-tripped vs {count_compositions(n)} counted"
 
 
 def _gcd_preservation(n: int) -> Checks:
@@ -281,9 +267,9 @@ def _moebius_inversion(n: int) -> Checks:
 
 
 def _part_refinement(n: int) -> Checks:
-    """Binomial part counts match brute-force tallies and sum to 2^(n-1)."""
+    """Binomial part counts match tallies over the successor walk and sum to 2^(n-1)."""
     tally: dict[int, int] = {}
-    for parts in _brute_compositions(n):
+    for parts in _successor_words(n):
         tally[len(parts)] = tally.get(len(parts), 0) + 1
     yield sum(tally.values()), None
     for k in range(1, n + 1):

@@ -75,6 +75,14 @@ def last_composition_dropped(n, family):
     return words if family != "compositions" else iter(list(words)[:-1])
 
 
+SUCCESSOR_WORDS = verify._successor_words
+
+
+def walk_one_word_short(n):
+    """Deliberately broken oracle: the successor walk drops the last word of every order."""
+    return iter(list(SUCCESSOR_WORDS(n))[:-1])
+
+
 class TestRunSuites:
     def test_small_universe_all_pass_in_registry_order(self):
         results = run_suites(max_n=6)
@@ -222,6 +230,19 @@ class TestFaultInjection:
         stray, want = (Composition(verify._gaps_of_mask(12, m)) for m in (1040, 1030))
         assert result.counterexample == f"n=12, mask 1030: the kernel gives {stray}, the mask route {want}"
 
+    def test_a_walk_one_word_short_fails_every_suite_that_reads_it(self, monkeypatch):
+        # At n = 1 the walk gives no word at all; the round trips size their
+        # word pass by the closed form, so they catch it after the set pass.
+        # The count suite takes a word past the walk for one past the last mask.
+        monkeypatch.setattr(verify, "_successor_words", walk_one_word_short)
+        results = {r.name: r for r in run_suites(max_n=9)}
+        want = {
+            "gap-word round trips": (1, "n=1: 0 words round-tripped vs 1 counted"),
+            "count formulas vs enumeration": (0, "n=1, mask None: the kernel gives 1, the mask route None"),
+            "part-count refinement": (0, "n=1, k=1"),
+        }
+        assert {r.name: (r.checked, r.counterexample) for r in results.values() if not r.passed} == want
+
     def test_the_scaling_bijection_holds_no_set_of_words(self):
         # Each gcd class is compared with its target stream item by item, so the
         # peak stays near one block of words; per-class sets of the 2^15 words
@@ -295,6 +316,7 @@ MUTANTS = {
     "gcd criterion ignores the modulus": (verify, "is_connected_by_gcd", literal_gcd_connected),
     "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
     "last composition dropped": (counting, "_words", last_composition_dropped),
+    "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
 }
 
 
@@ -329,6 +351,10 @@ class TestMutantMatrix:
             "last composition dropped",
         ):
             assert kills[mutant][count], mutant
+        # The count, round-trip and part-count suites all read the successor
+        # walk, so each catches a walk that stops short.
+        for suite in ("count formulas vs enumeration", "gap-word round trips", "part-count refinement"):
+            assert kills["successor walk one word short"][names.index(suite)], suite
         # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count,
         # and compares them with the symmetric-set stream, so it catches that stream's order.
         symmetry = names.index("symmetry vs palindromicity")
