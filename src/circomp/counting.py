@@ -216,13 +216,18 @@ def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
 
     The piece is everything before the boundary number: L's gaps for a
     word, L's elements but p_L for a set, whose boundary number is p_L.
+    Built by doubling: the masks below 2^e are those below 2^(e-1),
+    then the same with bit e-1 set, which appends the element e, the
+    gap e - p_L and gcd(d, e - p_L). The pieces are spelled in one pass
+    at the end. Tier-1 holds the table to the per-mask decoding by _run
+    and _diffs.
     """
-    spell_low, table = spell[0], []
-    for m in range(1 << k):
-        run = (0,) + _run(m, 1)
-        gaps = _diffs(run)
-        table.append((spell_low(run[:-1] if sets else gaps), run[-1], math.gcd(*gaps)))
-    return table
+    nums, ps, ds = [()], [0], [0]
+    for e in range(1, k + 1):
+        nums += [t + ((p,) if sets else (e - p,)) for t, p in zip(nums, ps)]
+        ds += [math.gcd(d, e - p) for d, p in zip(ds, ps)]
+        ps += [e] * len(ps)
+    return list(zip(map(spell[0], nums), ps, ds))
 
 
 def _run(mask: int, first: int) -> tuple[int, ...]:

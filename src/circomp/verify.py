@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice, starmap, zip_longest
 from typing import Callable, Iterable, Iterator
 
 from . import counting
@@ -138,22 +138,24 @@ _CHUNK = 1 << 8
 def _round_trips(n: int) -> Checks:
     """Gap word and prefix-sum set invert each other, preserving part counts.
 
-    The sets also check the block kernel against the per-mask route. The
-    words come from the successor walk, which must give all 2^(n-1) of them.
+    One pass zips three streams: the masks, the block kernel's sets and
+    the successor walk's words. Each set must equal the per-mask route's,
+    come back from its gap word with n and its size kept, and that gap
+    word must be the walk's word at the same mask. The last two imply
+    that every walk word round-trips too, so the word is built once per
+    mask. A stream that runs short or past the masks fails where it does.
     """
-    for m, s in zip_longest(range(count_compositions(n)), iter_family(n, "connection_sets")):
+    masks = range(count_compositions(n))
+    for m, s, w in zip_longest(masks, iter_family(n, "connection_sets"), _successor_words(n)):
         want = None if m is None else _set_of_mask(n, m)
         if s != want:
             yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
+        if s is None:
+            yield 0, f"n={n}, mask None: the walk gives {_spelled(w)} past the last mask"
         c = gap_composition(s)
         bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
         yield 1, f"n={n}, set {s}" if bad else None
-    words = 0
-    for parts in _successor_words(n):
-        c, words = Composition(parts), words + 1
-        yield 1, f"n={n}, word {c}" if gap_composition(prefix_sum_set(c)) != c else None
-    if words != count_compositions(n):
-        yield 0, f"n={n}: {words} words round-tripped vs {count_compositions(n)} counted"
+        yield 1, None if c.parts == w else f"n={n}, mask {m}: the gap word is {c}, the walk {_spelled(w)}"
 
 
 def _gcd_preservation(n: int) -> Checks:
@@ -196,18 +198,33 @@ def _connectivity(n: int) -> Checks:
             yield 1, None
 
 
+def _symmetric_generators(n: int) -> Iterator[tuple[int, ...]]:
+    """The symmetric sets that generate Z_n, as raw element tuples in mask order.
+
+    A scan of the kernel's tuples of all 2^(n-1) connection sets, with no
+    tuple wrapped: a set is symmetric iff its nonzero elements, reversed,
+    are n minus each, and it generates Z_n iff gcd(n, *elements) is 1.
+    """
+    return (
+        t for t in counting._words(n, "connection_sets")
+        if t[:0:-1] == tuple(map(n.__sub__, t[1:])) and math.gcd(n, *t) == 1
+    )
+
+
 def _palindrome_bijection(n: int) -> Checks:
     """Aperiodic palindromes map one-to-one onto symmetric generating sets.
 
     Tau inverse sends the set with gap word u repeated d times to u times d (gcd d); set
     and word order like u's mask at order n/d, so each image is the next of its gcd class.
+    The sets come from the raw-tuple scan; only those that pass it, about 2^(n/2), are
+    wrapped, and validated, as ConnectionSets.
     """
     if n < 2:
         return
     # d=d binds each stream's own divisor; a generator expression would see the last.
     words = {d: filter(lambda c, d=d: c.gcd() == d, iter_family(n, "aperiodic_palindromes")) for d in divisors(n)}
     sets = 0
-    for s in filter(lambda s: s.is_symmetric() and s.gcd() == 1, iter_family(n, "connection_sets")):
+    for s in map(partial(ConnectionSet, n), _symmetric_generators(n)):
         c, sets = aperiodic_palindrome_of(s), sets + 1
         want = next(words.get(c.gcd(), iter(())), "none left")
         if c != want:
@@ -239,9 +256,9 @@ def _count_oracles(n: int) -> Checks:
         chunk, want = list(islice(words, _CHUNK)), list(islice(walk, _CHUNK))
         if chunk != want:
             i, c, w = next((i, c, w) for i, (c, w) in enumerate(zip_longest(chunk, want)) if c != w)
-            m = None if w is None else start + i  # past the walk, past the last mask too
+            m = start + i if start + i < count_compositions(n) else None  # None: past the last mask
             yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the mask route {_spelled(w)}"
-        prime += [math.gcd(*w) for w in chunk].count(1)
+        prime += list(starmap(math.gcd, chunk)).count(1)
         scanned_pals += [w for w in chunk if w == w[::-1]]
     yield count_compositions(n), None
     if prime != count_prime_compositions(n):

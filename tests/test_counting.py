@@ -324,6 +324,16 @@ class TestBlockKernel:
             sizes = [len(block) for block in _dense_blocks(n, family, _TUPLES)]
             assert sizes == [1 << k] * (1 << (n - 1 - k))
 
+    @pytest.mark.parametrize("sets", [False, True])
+    @pytest.mark.parametrize("k", range(11))
+    def test_doubled_low_table_equals_the_per_mask_build(self, k, sets):
+        want = []
+        for m in range(1 << k):
+            run = (0,) + counting._run(m, 1)
+            gaps = counting._diffs(run)
+            want.append((run[:-1] if sets else gaps, run[-1], math.gcd(*gaps)))
+        assert counting._low_table(k, sets, _TUPLES) == want
+
     @pytest.mark.parametrize("n", [1, 5, 11, 12, 14])
     def test_trusted_objects_equal_and_hash_like_validated_ones(self, n):
         listed = [f for f in counting.FAMILIES if n >= counting._FAMILY_TABLE[f].min_n]

@@ -83,6 +83,14 @@ def walk_one_word_short(n):
     return iter(list(SUCCESSOR_WORDS(n))[:-1])
 
 
+SYMMETRIC_GENERATORS = verify._symmetric_generators
+
+
+def last_generator_dropped(n):
+    """Deliberately broken scan: the symmetric generating sets of every order stop one set short."""
+    return iter(list(SYMMETRIC_GENERATORS(n))[:-1])
+
+
 class TestRunSuites:
     def test_small_universe_all_pass_in_registry_order(self):
         results = run_suites(max_n=6)
@@ -231,17 +239,34 @@ class TestFaultInjection:
         assert result.counterexample == f"n=12, mask 1030: the kernel gives {stray}, the mask route {want}"
 
     def test_a_walk_one_word_short_fails_every_suite_that_reads_it(self, monkeypatch):
-        # At n = 1 the walk gives no word at all; the round trips size their
-        # word pass by the closed form, so they catch it after the set pass.
-        # The count suite takes a word past the walk for one past the last mask.
+        # At n = 1 the walk gives no word at all. The round trips zip it with
+        # the masks, so they fail at mask 0 after its set's round trip; the
+        # count suite names the same mask, where the kernel still gives a word.
         monkeypatch.setattr(verify, "_successor_words", walk_one_word_short)
         results = {r.name: r for r in run_suites(max_n=9)}
         want = {
-            "gap-word round trips": (1, "n=1: 0 words round-tripped vs 1 counted"),
-            "count formulas vs enumeration": (0, "n=1, mask None: the kernel gives 1, the mask route None"),
+            "gap-word round trips": (2, "n=1, mask 0: the gap word is 1, the walk None"),
+            "count formulas vs enumeration": (0, "n=1, mask 0: the kernel gives 1, the mask route None"),
             "part-count refinement": (0, "n=1, k=1"),
         }
         assert {r.name: (r.checked, r.counterexample) for r in results.values() if not r.passed} == want
+
+    @pytest.mark.parametrize(
+        "fault,checks,counterexample",
+        [
+            # Two checks for each of the 8 masks of n = 4, then the word past them.
+            (lambda w: w + [(4,)], 16, "n=4, mask None: the walk gives 4 past the last mask"),
+            # Masks 3 and 4 trade words: two checks for each of masks 0..3, the last one failing.
+            (lambda w: w[:3] + w[4:5] + w[3:4] + w[5:], 8, "n=4, mask 3: the gap word is 1,1,2, the walk 3,1"),
+        ],
+    )
+    def test_a_walk_past_the_masks_or_out_of_order_fails_the_round_trips_where_it_strays(
+        self, fault, checks, counterexample, monkeypatch
+    ):
+        monkeypatch.setattr(verify, "_successor_words", lambda n: iter(fault(list(SUCCESSOR_WORDS(n)))))
+        result = verify._run_order("round trips", verify._round_trips, 4)
+        assert not result.passed
+        assert (result.checked, result.counterexample) == (checks, counterexample)
 
     def test_the_scaling_bijection_holds_no_set_of_words(self):
         # Each gcd class is compared with its target stream item by item, so the
@@ -317,6 +342,7 @@ MUTANTS = {
     "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
     "last composition dropped": (counting, "_words", last_composition_dropped),
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
+    "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
 }
 
 
@@ -365,6 +391,10 @@ class TestMutantMatrix:
         bijection = names.index("aperiodic palindrome bijection")
         assert kills["even-n middles swapped"][bijection]
         assert kills["divisors without n"][bijection]
+        # It reads the symmetric generating sets from its own raw-tuple scan, and
+        # every word of a class must be the image of some set, so it alone
+        # catches a scan that drops a set.
+        assert kills["symmetric generator scan one set short"] == [i == bijection for i in range(len(names))]
 
 
 class ReversedPool:
@@ -462,6 +492,11 @@ class TestUnits:
             top = last.get(name, min(ceiling, 9))
             orders = [72] if ceiling == 72 else list(range(1, top + 1))
             assert calls[name] == [(n, n != last.get(name)) for n in orders]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_symmetric_generators_equal_the_filtered_sets(self, n):
+        want = [s.elements for s in counting.iter_family(n, "connection_sets") if s.is_symmetric() and s.gcd() == 1]
+        assert list(verify._symmetric_generators(n)) == want
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_successor_walk_equals_the_per_mask_route(self, n):
