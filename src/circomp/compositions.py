@@ -10,6 +10,8 @@ rescaling that trades a common factor d for a d-fold repetition.
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import eq
 
 from ._value import Value
 
@@ -60,16 +62,14 @@ class Composition(Value):
         """Smallest p such that the word is its length-p prefix repeated.
 
         Candidate periods are the divisors of the part count m, tried in
-        increasing order; p works iff parts[i] == parts[i % p] for all i.
-        A one-part word has period 1.
+        increasing order; p works iff parts[i + p] == parts[i] for every i.
+        A one-part word has period 1. The comparison runs lazily, so a
+        divisor is dropped at its first mismatch: a slice per divisor
+        would copy the word once for each of them.
         """
-        m = len(self.parts)
-        for p in range(1, m + 1):
-            if m % p:
-                continue
-            if all(self.parts[i] == self.parts[i % p] for i in range(p, m)):
-                return p
-        return m
+        parts = self.parts
+        m = len(parts)
+        return next(p for p in range(1, m + 1) if not m % p and all(map(eq, islice(parts, p, None), parts)))
 
     def is_aperiodic(self) -> bool:
         """True iff the smallest period equals the part count."""
@@ -106,21 +106,20 @@ def parse_composition(text: str) -> Composition:
     which case the digit reading would be invalid and the numeral is
     taken as a single part ("10" is the one-part word 10). A lone
     multi-digit part with all digits nonzero therefore has no comma-less
-    spelling; its str() form reads back as the digit word.
+    spelling; its str() form reads back as the digit word. A comma-less
+    literal with any character int() does not read as a digit, such as
+    "-3" or "²", is a bad composition literal, as is a comma form with a
+    part int() cannot read.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty composition literal")
-    if "," in s:
-        try:
-            parts = tuple(int(tok) for tok in s.split(","))
-        except ValueError:
-            raise ValueError(f"bad composition literal: {text!r}") from None
-    elif s.isdigit():
-        if len(s) > 1 and "0" not in s:
-            parts = tuple(int(ch) for ch in s)
+    try:
+        if "," in s:
+            parts = tuple(map(int, s.split(",")))
         else:
-            parts = (int(s),)
-    else:
-        raise ValueError(f"bad composition literal: {text!r}")
+            digits = tuple(map(int, s))  # int() fails here on any character that is not a digit
+            parts = (int(s),) if "0" in s else digits
+    except ValueError:
+        raise ValueError(f"bad composition literal: {text!r}") from None
     return Composition(parts)

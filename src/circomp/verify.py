@@ -92,24 +92,6 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
         yield word
 
 
-def _gaps_of_mask(n: int, mask: int) -> tuple[int, ...]:
-    """Cyclic gap word of the set {0} | {i+1 : bit i of mask set}, one bit at a time.
-
-    The per-mask route the tests hold the kernel and the successor walk
-    to.
-    """
-    parts = []
-    prev = 0
-    while mask:
-        low = mask & -mask
-        pos = low.bit_length()
-        parts.append(pos - prev)
-        prev = pos
-        mask ^= low
-    parts.append(n - prev)
-    return tuple(parts)
-
-
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
     """The connection set {0} | {i+1 : bit i of mask set} over Z_n, validated.
 

@@ -39,6 +39,7 @@ from circomp.verify import (
     PUBLISHED_72_DISCONNECTED,
     suite_order_72,
 )
+from references import all_sets, aperiodic_palindromes, brute_compositions
 
 # Published gap words for every connection set of order 5.
 ORDER_5_TABLE = {
@@ -97,21 +98,6 @@ PUBLISHED_DISCONNECTED_21_40 = {
     29: 1, 30: 16905, 31: 1, 32: 32768, 33: 1027, 34: 65537, 35: 79,
     36: 133090, 37: 1, 38: 262145, 39: 4099, 40: 524282,
 }
-
-
-def all_sets(n):
-    for mask in range(1 << (n - 1)):
-        elems = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
-        yield ConnectionSet(n, tuple(elems))
-
-
-def brute_compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in brute_compositions(n - first):
-            yield (first,) + rest
 
 
 def test_c01_order_5_gap_words_reproduce_published_table():
@@ -177,11 +163,7 @@ def test_c05_connectivity_oracle_equivalence_to_12():
 
 def test_c06_aperiodic_palindrome_bijection_to_16():
     for n in range(2, 17):
-        aperiodic = [
-            Composition(parts)
-            for parts in brute_compositions(n)
-            if parts == parts[::-1] and Composition(parts).is_aperiodic()
-        ]
+        aperiodic = aperiodic_palindromes(n)
         targets = {s for s in all_sets(n) if s.is_symmetric() and is_connected_by_gcd(s)}
         images = [connected_set_of(c) for c in aperiodic]
         assert len(set(images)) == len(images), f"n={n}"

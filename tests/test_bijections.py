@@ -10,21 +10,7 @@ from circomp.bijections import (
     palindrome_of,
     prefix_sum_set,
 )
-
-
-def all_sets(n):
-    for mask in range(1 << (n - 1)):
-        elems = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
-        yield ConnectionSet(n, tuple(elems))
-
-
-def brute_compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in brute_compositions(n - first):
-            yield (first,) + rest
+from references import all_sets, aperiodic_palindromes, brute_compositions
 
 
 words = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=9).map(
@@ -164,11 +150,7 @@ class TestAperiodicPalindromeOf:
 class TestAperiodicPalindromeBijection:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_exhaustive(self, n):
-        aperiodic = [
-            Composition(parts)
-            for parts in brute_compositions(n)
-            if parts == parts[::-1] and Composition(parts).is_aperiodic()
-        ]
+        aperiodic = aperiodic_palindromes(n)
         targets = {s for s in all_sets(n) if s.is_symmetric() and is_connected_by_gcd(s)}
         images = [connected_set_of(c) for c in aperiodic]
         assert len(set(images)) == len(images)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,12 +9,7 @@ from circomp.circulant import (
     is_connected_by_gcd,
     parse_connection_set,
 )
-
-
-def all_sets(n):
-    for mask in range(1 << (n - 1)):
-        elems = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
-        yield ConnectionSet(n, tuple(elems))
+from references import all_sets, arc_rule, edge_rule, many_step_sets
 
 
 def mirror_condition(s):
@@ -186,27 +179,6 @@ class TestGraph:
     def test_the_undirected_view_rejects_an_asymmetric_set(self):
         with pytest.raises(ValueError, match="not closed under negation"):
             CirculantDigraph(ConnectionSet(5, (0, 1)), directed=False)
-
-
-def arc_rule(g):
-    """The arcs i -> i + s mod n, sorted: the definition, with no runs."""
-    n = g.order
-    return sorted((i, (i + s) % n) for i in range(n) for s in g.steps)
-
-
-def edge_rule(g):
-    """Each unordered pair {i, i + s mod n} once, low end first, sorted."""
-    return sorted({tuple(sorted(arc)) for arc in arc_rule(g)})
-
-
-def many_step_sets(count, seed):
-    """Random sets up to n = 300 with up to n - 1 steps, and their symmetric closures."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randrange(2, 301)
-        members = {0, *rng.sample(range(1, n), rng.randrange(1, n))}
-        yield ConnectionSet.from_members(n, members)
-        yield ConnectionSet.from_members(n, members | {n - m for m in members})
 
 
 class TestRuns:

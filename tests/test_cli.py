@@ -3,7 +3,6 @@ import importlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +14,7 @@ from circomp import cli, counting, verify
 from circomp.circulant import CirculantDigraph, ConnectionSet, build_digraph, build_graph
 from circomp.compositions import Composition
 from circomp.cli import build_parser, main, render_dot, render_edgelist
+from references import all_sets, arc_rule, edge_rule, low_masks, many_step_sets
 
 
 def run_cli(*argv):
@@ -318,10 +318,9 @@ class WriteLog:
 
 def rule_text(render, graph):
     """What a renderer must write, from the arc rule i -> i + s and out_neighbors."""
-    n = graph.order
-    arcs = sorted((i, (i + s) % n) for i in range(n) for s in graph.steps)
+    n, arcs = graph.order, arc_rule(graph)
     assert arcs == [(i, j) for i in range(n) for j in graph.out_neighbors(i)]
-    pairs = arcs if graph.directed else sorted({tuple(sorted(arc)) for arc in arcs})
+    pairs = arcs if graph.directed else edge_rule(graph)
     if render is render_edgelist:
         return "".join(f"{i} {j}\n" for i, j in pairs)
     keyword, joiner = ("digraph", "->") if graph.directed else ("graph", "--")
@@ -345,21 +344,15 @@ class TestRenderedRuns:
     @pytest.mark.parametrize("render", [render_dot, render_edgelist])
     def test_every_set_to_10_in_both_modes(self, render):
         for n in range(1, 11):
-            for mask in range(1 << (n - 1)):
-                s = ConnectionSet(n, (0,) + tuple(i + 1 for i in range(n - 1) if mask >> i & 1))
+            for s in all_sets(n):
                 for graph in both_modes(s):
                     assert rendered_text(render, graph) == rule_text(render, graph)
 
     @pytest.mark.parametrize("render", [render_dot, render_edgelist])
     def test_random_sets_with_many_steps_to_300(self, render):
-        rng = random.Random(11)
-        for _ in range(6):
-            n = rng.randrange(2, 301)
-            members = {0, *rng.sample(range(1, n), rng.randrange(1, n))}
-            for s in (ConnectionSet.from_members(n, members),
-                      ConnectionSet.from_members(n, members | {n - m for m in members})):
-                for graph in both_modes(s):
-                    assert rendered_text(render, graph) == rule_text(render, graph)
+        for s in many_step_sets(6, seed=11):
+            for graph in both_modes(s):
+                assert rendered_text(render, graph) == rule_text(render, graph)
 
     @pytest.mark.parametrize("render", [render_dot, render_edgelist])
     def test_single_vertex_and_empty_steps(self, render):
@@ -560,10 +553,6 @@ class TestVerify:
         assert code == 2
 
     def test_failure_prints_the_first_counterexample_and_exits_1(self, monkeypatch):
-        def low_masks(n):
-            """A broken generator: the right number of words, from mostly the wrong masks."""
-            return (verify._gaps_of_mask(n, m) for m in range(1 << (n // 2)))
-
         monkeypatch.setattr(counting, "_palindromes", low_masks)
         code, out, _ = run_cli("verify", "--max-n", "8")
         assert code == 1

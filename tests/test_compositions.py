@@ -2,16 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circomp.compositions import Composition, parse_composition
-
-
-def brute_compositions(n):
-    """Every composition of n by recursion on the first part."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in brute_compositions(n - first):
-            yield (first,) + rest
+from references import brute_compositions
 
 
 def naive_period(parts):
@@ -88,12 +79,13 @@ class TestGcd:
 class TestPeriod:
     @pytest.mark.parametrize(
         "parts,p",
-        [((1, 2, 1, 1, 2, 1), 3), ((2, 1, 2, 1), 2), ((8,), 1)],
+        [((1, 2, 1, 1, 2, 1), 3), ((2, 1, 2, 1), 2), ((8,), 1),
+         (tuple(range(1, 5041)), 5040), (tuple(range(1, 2521)) * 2, 2520)],
     )
     def test_examples(self, parts, p):
         assert Composition(parts).period() == p
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_against_naive_oracle(self, n):
         for parts in brute_compositions(n):
             assert Composition(parts).period() == naive_period(parts)
@@ -173,6 +165,12 @@ class TestText:
     @pytest.mark.parametrize("bad", ["", "1,,2", "1,0", "abc", "1 2", "-3", "0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
+            parse_composition(bad)
+
+    @pytest.mark.parametrize("bad", ["1,,2", "abc", "²", "1²"])
+    def test_unreadable_literals_share_one_message(self, bad):
+        # "²" passes str.isdigit but not int(); its message is the same as for "abc".
+        with pytest.raises(ValueError, match=f"^bad composition literal: {bad!r}$"):
             parse_composition(bad)
 
     def test_str_is_canonical_comma_form(self):

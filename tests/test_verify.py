@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import pytest
@@ -14,16 +16,12 @@ from circomp.verify import (
     run_suites,
     suite_order_72,
 )
+from references import gaps_of_mask, low_masks
 
 
 def literal_gcd_connected(s):
     """Deliberately broken criterion: ignores the modulus when taking the gcd."""
     return math.gcd(*s.elements) == 1
-
-
-def low_masks(n):
-    """Deliberately broken generator: the right number of words, from mostly the wrong masks."""
-    return (verify._gaps_of_mask(n, m) for m in range(1 << (n // 2)))
 
 
 PALINDROMES = counting._palindromes
@@ -235,7 +233,7 @@ class TestFaultInjection:
         monkeypatch.setattr(counting, "_words", swapped)
         result = verify._run_order("count", verify._count_oracles, 12)
         assert not result.passed and result.checked == 0
-        stray, want = (Composition(verify._gaps_of_mask(12, m)) for m in (1040, 1030))
+        stray, want = (Composition(gaps_of_mask(12, m)) for m in (1040, 1030))
         assert result.counterexample == f"n=12, mask 1030: the kernel gives {stray}, the mask route {want}"
 
     def test_a_walk_one_word_short_fails_every_suite_that_reads_it(self, monkeypatch):
@@ -343,6 +341,7 @@ MUTANTS = {
     "last composition dropped": (counting, "_words", last_composition_dropped),
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
     "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
+    "period is the part count": (Composition, "period", lambda self: len(self.parts)),
 }
 
 
@@ -395,6 +394,9 @@ class TestMutantMatrix:
         # every word of a class must be the image of some set, so it alone
         # catches a scan that drops a set.
         assert kills["symmetric generator scan one set short"] == [i == bijection for i in range(len(names))]
+        # Only the count suite's aperiodic tally and the bijection suite's stream read
+        # periods, so a word that always reads as aperiodic fails those two alone.
+        assert kills["period is the part count"] == [i in (count, bijection) for i in range(len(names))]
 
 
 class ReversedPool:
@@ -500,7 +502,7 @@ class TestUnits:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_successor_walk_equals_the_per_mask_route(self, n):
-        want = [verify._gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
+        want = [gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
         assert list(verify._successor_words(n)) == want
 
 
@@ -513,6 +515,14 @@ class TestImageMismatch:
         assert not result.passed
         assert result.checked == 2
         assert result.counterexample == "n=2, set 2: 0,1: word 2 maps back to another set, 2: 0"
+
+
+def test_every_private_module_function_has_a_library_caller():
+    # A module-level _name that src/circomp names only in its own def serves tests alone.
+    trees = [ast.parse(path.read_text()) for path in pathlib.Path(verify.__file__).parent.glob("*.py")]
+    named = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees for node in ast.walk(tree)}
+    private = {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert sorted(name for name in private - named if name.startswith("_")) == []
 
 
 class TestOrder72:
