@@ -13,7 +13,6 @@ from .bijections import (
     aperiodic_palindrome_of,
     connected_set_of,
     gap_composition,
-    palindrome_of,
     prefix_sum_set,
 )
 from .counting import (
@@ -57,7 +56,6 @@ __all__ = [
     "is_connected_by_gcd",
     "iter_family",
     "moebius",
-    "palindrome_of",
     "parse_composition",
     "parse_connection_set",
     "prefix_sum_set",

@@ -42,18 +42,6 @@ def prefix_sum_set(composition: Composition) -> ConnectionSet:
     return ConnectionSet(composition.total, tuple(sums))
 
 
-def palindrome_of(connection: ConnectionSet) -> Composition:
-    """Gap composition of a symmetric set; the word is always a palindrome.
-
-    Symmetry mirrors the gaps end for end, which is exactly
-    palindromicity of the gap word; asymmetric sets are rejected because
-    their gap words carry no such guarantee.
-    """
-    if not connection.is_symmetric():
-        raise ValueError(f"{connection} is not symmetric")
-    return gap_composition(connection)
-
-
 def connected_set_of(palindrome: Composition) -> ConnectionSet:
     """Map an aperiodic palindrome of n to a symmetric generating set of Z_n.
 

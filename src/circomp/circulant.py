@@ -79,11 +79,6 @@ class ConnectionSet(Value):
     def size(self) -> int:
         return len(self.elements)
 
-    def inverse(self) -> ConnectionSet:
-        """The negated set {n - a mod n}; an involution that fixes 0."""
-        n = self.modulus
-        return ConnectionSet(n, tuple(sorted((n - a) % n for a in self.elements)))
-
     def is_symmetric(self) -> bool:
         """True iff the set equals its negation, i.e. it defines a graph.
 
@@ -147,11 +142,6 @@ class CirculantDigraph(Value):
     def steps(self) -> tuple[int, ...]:
         """Nonzero connection elements; each contributes one arc per vertex."""
         return self.connection.elements[1:]
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        """Targets of i's arcs, ascending; the per-vertex reference for the runs."""
-        n = self.order
-        return tuple(sorted((i + s) % n for s in self.steps))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Every arc, sorted by (source, target)."""

@@ -88,12 +88,6 @@ class Composition(Value):
             raise ValueError(f"{self} has coprime parts; rescale is undefined")
         return Composition(tuple(p // d for p in self.parts) * d)
 
-    def compact(self) -> str:
-        """Digit-juxtaposed display form, e.g. "161"; needs single-digit parts."""
-        if any(p > 9 for p in self.parts):
-            raise ValueError(f"compact form needs single-digit parts: {self}")
-        return "".join(str(p) for p in self.parts)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
@@ -119,7 +113,7 @@ def parse_composition(text: str) -> Composition:
             parts = tuple(map(int, s.split(",")))
         else:
             digits = tuple(map(int, s))  # int() fails here on any character that is not a digit
-            parts = (int(s),) if "0" in s else digits
+            parts = (int(s),) if 0 in digits else digits
     except ValueError:
         raise ValueError(f"bad composition literal: {text!r}") from None
     return Composition(parts)

@@ -186,8 +186,9 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
     q_H - p_L, then H's tail of gaps; the connection set is L's
     elements, then H's. The 2^k low entries are built once per call,
     and each high half, ascending, yields its 2^k items in ascending
-    mask order as one block; prime_compositions drops the words whose
-    parts share a factor, at one gcd per item.
+    mask order as one block. prime_compositions keeps the words of gcd
+    1: the gcd d of L's gaps divides p_L, so a word's gcd is gcd(d, g)
+    with g = gcd(q_H, H's tail), taken once per high half.
     """
     k = min(_LOW_BITS, n - 1)
     highs = range(1 << (n - 1 - k))  # an order too large to enumerate fails here, at the call
@@ -203,8 +204,8 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
             high = spell_high(run[:-1] if sets else tail)
             bound = [spell_gap(p if sets else q - p) for p in range(k + 1)]
             if coprime:
-                g = math.gcd(*tail)
-                yield [low + bound[p] + high for low, p, d in table if math.gcd(d, q - p, g) == 1]
+                g = math.gcd(q, *tail)
+                yield [low + bound[p] + high for low, p, d in table if math.gcd(d, g) == 1]
             else:
                 yield [low + bound[p] + high for low, p, _ in table]
 
@@ -218,14 +219,14 @@ def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
     word, L's elements but p_L for a set, whose boundary number is p_L.
     Built by doubling: the masks below 2^e are those below 2^(e-1),
     then the same with bit e-1 set, which appends the element e, the
-    gap e - p_L and gcd(d, e - p_L). The pieces are spelled in one pass
-    at the end. Tier-1 holds the table to the per-mask decoding by _run
-    and _diffs.
+    gap e - p_L and gcd(d, e - p_L) = gcd(d, e), as d divides p_L. The
+    pieces are spelled in one pass at the end. Tier-1 holds the table
+    to the per-mask decoding by _run and _diffs.
     """
     nums, ps, ds = [()], [0], [0]
     for e in range(1, k + 1):
         nums += [t + ((p,) if sets else (e - p,)) for t, p in zip(nums, ps)]
-        ds += [math.gcd(d, e - p) for d, p in zip(ds, ps)]
+        ds += [math.gcd(d, e) for d in ds]
         ps += [e] * len(ps)
     return list(zip(map(spell[0], nums), ps, ds))
 

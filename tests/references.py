@@ -61,6 +61,12 @@ def many_step_sets(count, seed):
         yield ConnectionSet.from_members(n, members | {n - m for m in members})
 
 
+def negated(s):
+    """The set {-a mod n : a in s}; an involution that fixes 0, equal to s iff s is symmetric."""
+    n = s.modulus
+    return ConnectionSet(n, tuple(sorted((n - a) % n for a in s.elements)))
+
+
 def arc_rule(g):
     """The arcs i -> i + s mod n, sorted: the definition, with no runs."""
     n = g.order

@@ -7,7 +7,6 @@ from circomp.bijections import (
     aperiodic_palindrome_of,
     connected_set_of,
     gap_composition,
-    palindrome_of,
     prefix_sum_set,
 )
 from references import all_sets, aperiodic_palindromes, brute_compositions
@@ -75,19 +74,21 @@ class TestGcdAndSymmetryTransport:
 
 
 class TestPalindromeOf:
+    """The gap word of a symmetric set is its palindrome."""
+
     def test_examples(self):
-        assert palindrome_of(ConnectionSet(8, (0, 3, 5))) == Composition((3, 2, 3))
-        assert palindrome_of(ConnectionSet(8, (0, 2, 4, 6))) == Composition((2, 2, 2, 2))
+        assert gap_composition(ConnectionSet(8, (0, 3, 5))) == Composition((3, 2, 3))
+        assert gap_composition(ConnectionSet(8, (0, 2, 4, 6))) == Composition((2, 2, 2, 2))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            palindrome_of(ConnectionSet(5, (0, 1)))
+        # An asymmetric set's gap word is not a palindrome.
+        assert not gap_composition(ConnectionSet(5, (0, 1))).is_palindrome()
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_always_palindromic(self, n):
         for s in all_sets(n):
             if s.is_symmetric():
-                assert palindrome_of(s).is_palindrome()
+                assert gap_composition(s).is_palindrome()
 
 
 class TestConnectedSetOf:

@@ -9,7 +9,7 @@ from circomp.circulant import (
     is_connected_by_gcd,
     parse_connection_set,
 )
-from references import all_sets, arc_rule, edge_rule, many_step_sets
+from references import all_sets, arc_rule, edge_rule, many_step_sets, negated
 
 
 def mirror_condition(s):
@@ -88,13 +88,13 @@ class TestInverse:
         ],
     )
     def test_examples(self, n, elems, inv):
-        assert ConnectionSet(n, elems).inverse() == ConnectionSet(n, inv)
+        assert negated(ConnectionSet(n, elems)) == ConnectionSet(n, inv)
 
     @given(random_sets)
     def test_involution_preserving_size(self, s):
-        assert s.inverse().inverse() == s
-        assert s.inverse().size == s.size
-        assert s.inverse().elements[0] == 0
+        assert negated(negated(s)) == s
+        assert negated(s).size == s.size
+        assert negated(s).elements[0] == 0
 
 
 class TestSymmetry:
@@ -116,7 +116,7 @@ class TestSymmetry:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_the_negated_set(self, n):
         for s in all_sets(n):
-            assert s.is_symmetric() == (s.elements == s.inverse().elements)
+            assert s.is_symmetric() == (s == negated(s))
 
 
 class TestGcd:
@@ -144,7 +144,6 @@ class TestDigraph:
     def test_zero_only_set_has_no_arcs(self):
         g = build_digraph(ConnectionSet(5, (0,)))
         assert list(g.arcs()) == []
-        assert g.out_neighbors(3) == ()
 
     def test_full_set_gives_complete_digraph(self):
         n = 6
@@ -156,7 +155,8 @@ class TestDigraph:
         for s in all_sets(n):
             g = build_digraph(s)
             arcs = set(g.arcs())
-            assert all(len(g.out_neighbors(i)) == s.size - 1 for i in range(n))
+            sources = [i for i, _ in arcs]
+            assert all(sources.count(i) == s.size - 1 for i in range(n))
             assert all(((i + 1) % n, (j + 1) % n) in arcs for i, j in arcs)
             assert list(g.edges()) == sorted({(min(a), max(a)) for a in arcs})
 
@@ -186,7 +186,6 @@ class TestRuns:
         g = build_digraph(s)
         arcs = list(g.arcs())
         assert arcs == arc_rule(g)
-        assert arcs == [(i, j) for i in range(s.modulus) for j in g.out_neighbors(i)]
         assert list(g.edges()) == edge_rule(g)
         if s.is_symmetric():
             assert list(build_graph(s).edges()) == edge_rule(g)

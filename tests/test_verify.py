@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 import tracemalloc
 
 import pytest
@@ -81,6 +82,20 @@ def walk_one_word_short(n):
     return iter(list(SUCCESSOR_WORDS(n))[:-1])
 
 
+def factorize_skipping_5(n):
+    """Deliberately broken trial division: after 3 it steps by 3, so 5, 7, 11, ... are never tried."""
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 3
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 SYMMETRIC_GENERATORS = verify._symmetric_generators
 
 
@@ -113,16 +128,16 @@ class TestRunSuites:
             run_suites(workers=0)
 
 
-def connectivity(first, last):
-    """The connectivity suite run over n = first..last."""
-    unit = dict((name, fn) for name, fn, _ in SUITES)["connectivity oracle agreement"]
+def ranged(suite, first, last):
+    """The named suite run over n = first..last."""
+    unit = dict((name, fn) for name, fn, _ in SUITES)[suite]
     return verify._merge(map(unit, range(first, last + 1)), last)
 
 
 class TestFaultInjection:
     def test_broken_gcd_fails_naming_the_order_8_witness(self, monkeypatch):
         monkeypatch.setattr(verify, "is_connected_by_gcd", literal_gcd_connected)
-        result = connectivity(8, 8)
+        result = ranged("connectivity oracle agreement", 8, 8)
         assert not result.passed
         assert result.checked == 5
         assert "8: 0,3" in result.counterexample
@@ -132,11 +147,11 @@ class TestFaultInjection:
         # starting at n=2 it is {0,2} in Z_3, which generates Z_3 despite
         # its element gcd of 2.
         monkeypatch.setattr(verify, "is_connected_by_gcd", literal_gcd_connected)
-        result = connectivity(1, 12)
+        result = ranged("connectivity oracle agreement", 1, 12)
         assert not result.passed
         assert result.checked == 1
         assert "n=1, set 1: 0" in result.counterexample
-        result = connectivity(2, 12)
+        result = ranged("connectivity oracle agreement", 2, 12)
         assert not result.passed
         assert result.checked == 5
         assert "3: 0,2" in result.counterexample
@@ -278,6 +293,15 @@ class TestFaultInjection:
             tracemalloc.stop()
         assert result.passed and result.checked == 2**15
         assert peak < 4 * 2**20
+
+    def test_a_factorisation_that_misses_5_fails_the_divisor_sum_at_25(self, monkeypatch):
+        # The mutant reads 25 as prime, in divisors(25) and in the counts alike, so the
+        # sum over divisors(25) still gives 2^24; the divisors found by trial include 5.
+        monkeypatch.setattr(counting, "_factorize", factorize_skipping_5)
+        result = ranged("divisor-sum inversion identity", 1, 64)
+        assert not result.passed
+        assert result.checked == 25
+        assert result.counterexample == f"n=25: {2**24 + 2**4 - 1} != 2^24"
 
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
@@ -523,6 +547,25 @@ def test_every_private_module_function_has_a_library_caller():
     named = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees for node in ast.walk(tree)}
     private = {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert sorted(name for name in private - named if name.startswith("_")) == []
+
+
+def test_every_public_function_is_named_by_the_library_or_the_readme():
+    # A function or method that no library code, no __all__ and no README python
+    # example names serves tests alone: it belongs in tests/references.py.
+    trees = [ast.parse(path.read_text()) for path in pathlib.Path(verify.__file__).parent.glob("*.py")]
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks, "README.md has no python example"
+    examples = [ast.parse(block, "README.md") for block in blocks]  # a broken example fails here
+    named = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees + examples for node in ast.walk(tree)}
+    exported = {
+        node.value for tree in trees for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)
+    }
+    defined = {node.name for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    dunder = re.compile(r"^__\w+__$")
+    assert sorted(name for name in defined - named - exported if not dunder.match(name)) == []
 
 
 class TestOrder72:
