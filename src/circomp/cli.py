@@ -65,11 +65,11 @@ def handle_list(args: argparse.Namespace) -> int:
 def _list_blocks(n: int, family: str, json_rows: bool) -> Iterator[list[str]]:
     """The family's members at order n as text lines or JSON rows, in blocks.
 
-    Every family's blocks are spelled from the two closures below: the
-    dense families straight from the block kernel's string tables, one
-    block per high half of the mask, the palindromic ones whole, 2^10
-    to a block. handle_list stops reading at --limit, so at most one
-    block past the cut is built.
+    Every family's blocks are spelled by the two closures below, low
+    for the numbers ahead of the block kernel's boundary and rest for
+    the others: the dense families one block per high half of the mask,
+    the palindromic ones whole, 2^10 to a block. handle_list stops
+    reading at --limit, so at most one block past the cut is built.
     """
     sets = family.endswith("connection_sets")
     head, sep, end = ("[", ", ", "]") if json_rows else (f"{n}: " if sets else "", ",", "\n")
@@ -77,10 +77,10 @@ def _list_blocks(n: int, family: str, json_rows: bool) -> Iterator[list[str]]:
     def low(nums: tuple[int, ...]) -> str:
         return head + "".join(f"{x}{sep}" for x in nums)
 
-    def high(nums: tuple[int, ...]) -> str:
-        return "".join(f"{sep}{x}" for x in nums) + end
+    def rest(nums: tuple[int, ...]) -> str:
+        return sep.join(map(str, nums)) + end
 
-    return counting._listed(n, family).blocks(n, family, (low, str, high))
+    return counting._listed(n, family).blocks(n, family, (low, rest))
 
 
 def handle_convert(args: argparse.Namespace) -> int:

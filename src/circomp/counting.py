@@ -135,8 +135,8 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
     convention that they are defined for n >= 2 only. Each member wraps
     one tuple of _words(n, family), the only listing path; verify's
     count and scaling suites compare those tuples themselves, chunk by
-    chunk with the successor walk and class by class with the coprime
-    words of n/d.
+    chunk with the successor walk and class by class with the prime
+    compositions of n/d.
     """
     items = _words(n, family)
     # The kernel's tuples are members by construction: no re-validation.
@@ -169,11 +169,10 @@ def _listed(n: int, family: str) -> _Family:
 _LOW_BITS = 10  # the kernel tabulates the low min(10, n - 1) bits of every mask
 
 
-# A spelling is a tuple (low, gap, high) of callables that tells a family's
-# blocks how to write an item: low(before) + gap(boundary) + high(after), where
-# before and after are the numbers on either side of the boundary number (gaps
-# or elements); a palindromic item puts its last number at the boundary.
-_TUPLES = (tuple, lambda g: (g,), tuple)
+# A spelling is a pair (low, rest) of callables: a dense family's item is
+# low(before) + rest(after), cut just before its boundary number (a gap or an
+# element), and a palindromic item is low(()) + rest(item).
+_TUPLES = (tuple, tuple)
 
 
 def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
@@ -181,33 +180,30 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
 
     A mask of width n - 1 splits into its low k = min(10, n - 1) bits L
     and its high bits H (Knuth, TAOCP 4A, 7.2.1). L's elements run
-    0 < ... < p_L, all at most k; H's run q_H < ... < n, closed by n. The
-    gap word of mask H * 2^k + L is L's prefix of gaps, the boundary gap
-    q_H - p_L, then H's tail of gaps; the connection set is L's
-    elements, then H's. The 2^k low entries are built once per call,
-    and each high half, ascending, yields its 2^k items in ascending
-    mask order as one block. prime_compositions keeps the words of gcd
-    1: the gcd d of L's gaps divides p_L, so a word's gcd is gcd(d, g)
-    with g = gcd(q_H, H's tail), taken once per high half.
+    0 < ... < p_L, all at most k; H's run q_H < ... < n, closed by n.
+    The 2^k low pieces are spelled once per call, and each high half,
+    ascending, spells one rest per boundary p_L: p_L and H's elements
+    for a set, the gaps of p_L and H's run for a word. It yields its 2^k
+    items in ascending mask order as one block. prime_compositions
+    keeps the words of gcd 1: the gcd d of L's gaps divides p_L, so a
+    word's gcd is gcd(d, g) with g the gcd of H's run.
     """
     k = min(_LOW_BITS, n - 1)
     highs = range(1 << (n - 1 - k))  # an order too large to enumerate fails here, at the call
     sets = family == "connection_sets"
     coprime = family == "prime_compositions"
     table = _low_table(k, sets, spell)
-    _, spell_gap, spell_high = spell
+    spell_rest = spell[1]
 
     def blocks() -> Iterator[list[Any]]:
         for h in highs:
             run = _run(h, k + 1) + (n,)
-            q, tail = run[0], _diffs(run)
-            high = spell_high(run[:-1] if sets else tail)
-            bound = [spell_gap(p if sets else q - p) for p in range(k + 1)]
+            rest = [spell_rest((p,) + run[:-1] if sets else _diffs((p,) + run)) for p in range(k + 1)]
             if coprime:
-                g = math.gcd(q, *tail)
-                yield [low + bound[p] + high for low, p, d in table if math.gcd(d, g) == 1]
+                g = math.gcd(*run)
+                yield [low + rest[p] for low, p, d in table if math.gcd(d, g) == 1]
             else:
-                yield [low + bound[p] + high for low, p, _ in table]
+                yield [low + rest[p] for low, p, _ in table]
 
     return blocks()
 
@@ -215,8 +211,8 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
 def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
     """Per k-bit low half L, ascending: its spelled piece, p_L, and the gcd of its gaps.
 
-    The piece is everything before the boundary number: L's gaps for a
-    word, L's elements but p_L for a set, whose boundary number is p_L.
+    The piece is low(before), with before the numbers ahead of the
+    boundary: L's gaps for a word, L's elements but p_L for a set.
     Built by doubling: the masks below 2^e are those below 2^(e-1),
     then the same with bit e-1 set, which appends the element e, the
     gap e - p_L and gcd(d, e - p_L) = gcd(d, e), as d divides p_L. The
@@ -264,7 +260,7 @@ def _palindromes(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _palindrome_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
-    """The members of a palindromic family at order n, spelled whole, 2^10 to a block.
+    """The members of a palindromic family at order n, each low(()) + rest(word), 2^10 to a block.
 
     The words come from _palindromes(n); aperiodic_palindromes keeps
     those of period n, and symmetric_connection_sets maps each word to
@@ -276,9 +272,8 @@ def _palindrome_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]
         items = (w for w in items if Composition._unchecked(w).is_aperiodic())
     elif family == "symmetric_connection_sets":
         items = (tuple(accumulate(w[:-1], initial=0)) for w in items)
-    spell_low, spell_gap, spell_high = spell
-    end = spell_high(())
-    spelled = (spell_low(m[:-1]) + spell_gap(m[-1]) + end for m in items)
+    head, rest = spell[0](()), spell[1]
+    spelled = (head + rest(m) for m in items)
     return iter(lambda: list(islice(spelled, 1 << _LOW_BITS)), [])
 
 

@@ -58,8 +58,8 @@ def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResul
     A check body yields (checks made, None) as it goes and (checks made,
     counterexample) at a failure. The run stops at the first
     counterexample, so a body is never resumed after yielding one. A
-    body that raises ValueError (a library call rejected what the
-    enumerators built) fails with the error as its counterexample.
+    body that raises fails with the error as its counterexample, named
+    by its type unless a library call rejected its input (ValueError).
     """
     start, checked, counterexample = time.perf_counter(), 0, None
     try:
@@ -69,6 +69,8 @@ def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResul
                 break
     except ValueError as exc:
         counterexample = f"n={n}: {exc}"
+    except Exception as exc:
+        counterexample = f"n={n}: {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - start
     return SuiteResult(name, counterexample is None, checked, n, counterexample, seconds=seconds)
 
@@ -285,11 +287,10 @@ def _scaling_bijection(n: int) -> Checks:
     """Dividing by the gcd maps words with gcd d one-to-one onto coprime words of n/d.
 
     Division keeps mask bits d-1, 2d-1, ..., so it preserves mask order: in one
-    pass, each kernel tuple of gcd d, divided by d, must be the next coprime
-    kernel tuple of n/d. No word is wrapped in an object on either side.
+    pass, each kernel tuple of gcd d, divided by d, must be the next tuple of the
+    prime-compositions stream of n/d. No word is wrapped in an object on either side.
     """
-    targets = {d: (t for t in counting._words(n // d, "compositions") if math.gcd(*t) == 1)
-               for d in divisors(n)}
+    targets = {d: counting._words(n // d, "prime_compositions") for d in divisors(n)}
     sizes = dict.fromkeys(targets, 0)
     for w in counting._words(n, "compositions"):
         d = math.gcd(*w)

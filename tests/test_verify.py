@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from circomp import counting, verify
+from circomp import cli, counting, verify
 from circomp.bijections import gap_composition, prefix_sum_set
 from circomp.circulant import ConnectionSet
 from circomp.compositions import Composition
@@ -53,7 +53,19 @@ def low_boundary_shifted(k, sets, spell):
     return [(low, p - (len(low) == 2), d) for low, p, d in LOW_TABLE(k, sets, spell)]
 
 
+def gcd_column_seeded_with_1(k, sets, spell):
+    """The kernel's low table with every gcd read as 1, so every word reads as coprime."""
+    return [(low, p, 1) for low, p, _ in LOW_TABLE(k, sets, spell)]
+
+
 WORDS = counting._words
+
+
+def prime_stream_disconnected(n, family):
+    """Deliberately broken stream: the prime compositions are the words whose parts share a factor."""
+    if family != "prime_compositions":
+        return WORDS(n, family)
+    return (w for w in WORDS(n, "compositions") if math.gcd(*w) != 1)
 
 
 def without_word_7(n, family):
@@ -303,6 +315,31 @@ class TestFaultInjection:
         assert result.checked == 25
         assert result.counterexample == f"n=25: {2**24 + 2**4 - 1} != 2^24"
 
+    def test_a_prime_stream_fault_fails_the_scaling_bijection_at_its_first_order(self, monkeypatch):
+        # The gcd column seeded with 1 lists the word 2 of order 2 as coprime; a
+        # stream of the disconnected words lists nothing at order 1.
+        for mutant, counterexample in (
+            ("gcd column seeded with 1", "n=2, d=1: word 1,1 maps to 1,1, not 2"),
+            ("prime stream lists the disconnected words", "n=1, d=1: word 1 maps to 1, not None"),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(*MUTANTS[mutant])
+                result = ranged("common-factor scaling bijection", 1, 16)
+            assert (result.passed, result.counterexample) == (False, counterexample), mutant
+
+    def test_a_library_call_that_raises_fails_its_suite_without_a_traceback(self, monkeypatch, capsys):
+        def palindromes_raise(n, family):
+            if family == "palindromes":
+                raise TypeError("unsupported operand")
+            return WORDS(n, family)
+
+        monkeypatch.setattr(counting, "_words", palindromes_raise)
+        assert cli.main(["verify", "--max-n", "6"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        want = "FAIL count formulas vs enumeration (3 checks): first counterexample: n=2: TypeError: unsupported operand"
+        assert want in out.splitlines()
+
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
         # so only their boundary gap (for sets, boundary element) is wrong.
@@ -366,6 +403,8 @@ MUTANTS = {
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
     "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
+    "gcd column seeded with 1": (counting, "_low_table", gcd_column_seeded_with_1),
+    "prime stream lists the disconnected words": (counting, "_words", prime_stream_disconnected),
 }
 
 
@@ -392,6 +431,10 @@ class TestMutantMatrix:
         # It compares each gcd class with its target stream in order, so it
         # catches a class whose words trade places.
         assert kills["a gcd class out of order"][scaling]
+        # Its targets are the prime-compositions streams of n/d, which no other
+        # suite reads, so it alone catches a prime stream that lists wrong words.
+        for mutant in ("gcd column seeded with 1", "prime stream lists the disconnected words"):
+            assert kills[mutant] == [i == scaling for i in range(len(names))], mutant
         # The count suite compares the kernel's compositions with the successor
         # walk chunk by chunk, so it catches every fault of that stream.
         count = names.index("count formulas vs enumeration")
@@ -539,6 +582,18 @@ class TestImageMismatch:
         assert not result.passed
         assert result.checked == 2
         assert result.counterexample == "n=2, set 2: 0,1: word 2 maps back to another set, 2: 0"
+
+
+def test_verify_reads_every_listed_family(monkeypatch):
+    read = set()
+
+    def recording(n, family):
+        read.add(family)
+        return WORDS(n, family)
+
+    monkeypatch.setattr(counting, "_words", recording)
+    run_suites(max_n=9)
+    assert set(counting.FAMILIES) <= read, set(counting.FAMILIES) - read
 
 
 def test_every_private_module_function_has_a_library_caller():
