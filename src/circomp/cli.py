@@ -141,7 +141,7 @@ def handle_verify(args: argparse.Namespace) -> int:
         else:
             line = f"FAIL {r.name} ({r.checked} checks): first counterexample: {r.counterexample}"
         if r.detail:
-            line += f": {r.detail}" if r.passed else f" [{r.detail}]"
+            line += f": {r.detail}"
         print(line)
     return 0 if all(r.passed for r in results) else 1
 

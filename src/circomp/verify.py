@@ -56,23 +56,24 @@ def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResul
     """Suite ``name`` at order n alone: run ``checks(n)`` and add up the checks made.
 
     A check body yields (checks made, None) as it goes and (checks made,
-    counterexample) at a failure. The run stops at the first
-    counterexample, so a body is never resumed after yielding one. A
-    body that raises fails with the error as its counterexample, named
-    by its type unless a library call rejected its input (ValueError).
+    counterexample) at a failure, where the run stops; it may return a
+    detail. A body that raises fails with the error as its counterexample,
+    named by its type unless a library call rejected its input (ValueError).
     """
-    start, checked, counterexample = time.perf_counter(), 0, None
+    start, checked, counterexample, detail = time.perf_counter(), 0, None, None
     try:
-        for made, counterexample in checks(n):
+        body = checks(n)
+        while counterexample is None:
+            made, counterexample = next(body)
             checked += made
-            if counterexample is not None:
-                break
+    except StopIteration as stop:
+        detail = stop.value
     except ValueError as exc:
         counterexample = f"n={n}: {exc}"
     except Exception as exc:
         counterexample = f"n={n}: {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - start
-    return SuiteResult(name, counterexample is None, checked, n, counterexample, seconds=seconds)
+    return SuiteResult(name, counterexample is None, checked, n, counterexample, detail, seconds)
 
 
 def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
@@ -307,33 +308,30 @@ def _scaling_bijection(n: int) -> Checks:
             yield 0, f"n={n}, d={d}: {size} words vs {count_prime_compositions(n // d)} counted"
 
 
-def suite_order_72(_n: int = 72) -> SuiteResult:
-    """Recompute the order-72 counts and flag the published figures.
+def _order_72(n: int) -> Checks:
+    """Recompute the counts at order n = 72; return them, with the published figures, as detail.
 
-    Passing means the formula output is self-consistent (connected plus
-    disconnected is 2^71, and the proper-divisor route agrees); the
-    published digits are reported alongside because they differ.
+    Passing means the formula values are self-consistent: connected plus
+    disconnected is 2^(n-1), and the proper-divisor route agrees. The
+    published figures differ from them.
     """
-    start = time.perf_counter()
-    connected = count_prime_compositions(72)
-    disconnected = count_disconnected_compositions(72)
-    divisor_route = sum(count_prime_compositions(d) for d in divisors(72) if d != 72)
-    ok = connected + disconnected == count_compositions(72) and disconnected == divisor_route
+    connected, disconnected = count_prime_compositions(n), count_disconnected_compositions(n)
+    divisor_route = sum(count_prime_compositions(d) for d in divisors(n) if d != n)
+    ok = connected + disconnected == count_compositions(n) and disconnected == divisor_route
     detail = (
         f"connected={connected} disconnected={disconnected}; published figures "
         f"{PUBLISHED_72_CONNECTED} and {PUBLISHED_72_DISCONNECTED} differ from the formula values"
     )
-    counterexample = None if ok else "order-72 totals are not self-consistent"
-    seconds = time.perf_counter() - start
-    return SuiteResult(_ORDER_72, ok, 3, 72, counterexample, detail, seconds)
+    yield 3, None if ok else f"order-72 totals are not self-consistent [{detail}]"
+    return detail
 
 
 _ORDER_72 = "order-72 recomputation"
 
-# (display name, unit, ceiling): unit(n) runs the suite at order n alone.
-# A ranged suite runs n = 1..ceiling; a user-supplied --max-n lowers the
-# ceilings but never raises them past the under-a-minute defaults. The
-# order-72 suite is one unit at its ceiling.
+# (display name, unit, ceiling): unit(n) runs the suite's check body at
+# order n alone. A ranged suite runs n = 1..ceiling; a user-supplied --max-n
+# lowers the ceilings but never raises them past the under-a-minute
+# defaults. The order-72 suite is one unit at its ceiling.
 SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
     (name, partial(_run_order, name, checks), ceiling)
     for name, checks, ceiling in (
@@ -346,8 +344,9 @@ SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
         ("divisor-sum inversion identity", _moebius_inversion, 64),
         ("part-count refinement", _part_refinement, 14),
         ("common-factor scaling bijection", _scaling_bijection, 16),
+        (_ORDER_72, _order_72, 72),
     )
-) + ((_ORDER_72, suite_order_72, 72),)
+)
 
 
 def _run_unit(index: int, n: int) -> SuiteResult:

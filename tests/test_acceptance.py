@@ -36,7 +36,7 @@ from circomp.counting import (
 from circomp.verify import (
     PUBLISHED_72_CONNECTED,
     PUBLISHED_72_DISCONNECTED,
-    suite_order_72,
+    SUITES,
 )
 from references import all_sets, aperiodic_palindromes, brute_compositions
 
@@ -203,7 +203,7 @@ def test_c09_order_72_recomputation_is_self_consistent_and_flagged():
     # The published figures are flagged as differing, not reproduced.
     assert connected != PUBLISHED_72_CONNECTED
     assert disconnected != PUBLISHED_72_DISCONNECTED
-    report = suite_order_72()
+    report = SUITES[-1][1](72)
     assert report.passed
     for value in (connected, disconnected, PUBLISHED_72_CONNECTED, PUBLISHED_72_DISCONNECTED):
         assert str(value) in report.detail

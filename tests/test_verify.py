@@ -1,4 +1,6 @@
 import ast
+import functools
+import inspect
 import math
 import pathlib
 import re
@@ -15,7 +17,6 @@ from circomp.verify import (
     PUBLISHED_72_DISCONNECTED,
     SUITES,
     run_suites,
-    suite_order_72,
 )
 from references import gaps_of_mask, low_masks
 
@@ -340,6 +341,21 @@ class TestFaultInjection:
         want = "FAIL count formulas vs enumeration (3 checks): first counterexample: n=2: TypeError: unsupported operand"
         assert want in out.splitlines()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_raise_in_the_order_72_suite_fails_it_without_a_traceback(self, workers, monkeypatch, capsys):
+        def raise_at_72(n):
+            if n == 72:
+                raise TypeError("boom")
+            return counting.count_prime_compositions(n)
+
+        monkeypatch.setattr(verify, "count_prime_compositions", raise_at_72)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        assert cli.main(["verify", "--max-n", "3", "--workers", workers]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        want = "FAIL order-72 recomputation (0 checks): first counterexample: n=72: TypeError: boom"
+        assert out.splitlines()[-1] == want
+
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
         # so only their boundary gap (for sets, boundary element) is wrong.
@@ -405,6 +421,9 @@ MUTANTS = {
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
     "gcd column seeded with 1": (counting, "_low_table", gcd_column_seeded_with_1),
     "prime stream lists the disconnected words": (counting, "_words", prime_stream_disconnected),
+    "disconnected count off by one": (
+        verify, "count_disconnected_compositions", lambda n: counting.count_disconnected_compositions(n) + 1
+    ),
 }
 
 
@@ -464,6 +483,18 @@ class TestMutantMatrix:
         # Only the count suite's aperiodic tally and the bijection suite's stream read
         # periods, so a word that always reads as aperiodic fails those two alone.
         assert kills["period is the part count"] == [i in (count, bijection) for i in range(len(names))]
+        # Only the order-72 suite reads the disconnected count.
+        order_72 = names.index("order-72 recomputation")
+        assert kills["disconnected count off by one"] == [i == order_72 for i in range(len(names))]
+
+    def test_a_wrong_disconnected_count_fails_the_order_72_line_with_its_figures(self, monkeypatch, capsys):
+        monkeypatch.setattr(*MUTANTS["disconnected count off by one"])
+        assert cli.main(["verify", "--max-n", "9"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "FAIL order-72 recomputation (3 checks): first counterexample: order-72 totals are not "
+            "self-consistent [connected=2361183241400454481920 disconnected=34368124929; published figures "
+            f"{PUBLISHED_72_CONNECTED} and {PUBLISHED_72_DISCONNECTED} differ from the formula values]"
+        )
 
 
 class ReversedPool:
@@ -596,6 +627,13 @@ def test_verify_reads_every_listed_family(monkeypatch):
     assert set(counting.FAMILIES) <= read, set(counting.FAMILIES) - read
 
 
+def test_every_suite_unit_runs_a_check_body_through_run_order():
+    # A hand-built unit would time, count and catch its errors on its own.
+    for name, unit, _ in SUITES:
+        assert isinstance(unit, functools.partial) and unit.func is verify._run_order, name
+        assert unit.args[0] == name and inspect.isgeneratorfunction(unit.args[1]), name
+
+
 def test_every_private_module_function_has_a_library_caller():
     # A module-level _name that src/circomp names only in its own def serves tests alone.
     trees = [ast.parse(path.read_text()) for path in pathlib.Path(verify.__file__).parent.glob("*.py")]
@@ -625,7 +663,7 @@ def test_every_public_function_is_named_by_the_library_or_the_readme():
 
 class TestOrder72:
     def test_self_consistent_and_flags_published_figures(self):
-        result = suite_order_72()
+        result = SUITES[-1][1](72)
         assert result.passed
         assert "2361183241400454481920" in result.detail
         assert "34368124928" in result.detail
