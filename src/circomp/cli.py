@@ -122,11 +122,13 @@ def handle_table(args: argparse.Namespace) -> int:
             lead = ", "
         print("]")
         return 0
-    cells = [[col.replace("_", "-") for col in columns]]
-    cells += [list(map(str, values)) for values in rows]
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    for line in cells:
-        print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
+    # Held as numbers, spelled as printed: a Decimal keeps 19 digits in 8 bytes.
+    rows = list(rows)
+    header = [col.replace("_", "-") for col in columns]
+    widths = [max(len(name), len(str(max(column)))) for name, column in zip(header, zip(*rows))]
+    print("  ".join(map(str.rjust, header, widths)))
+    for values in rows:
+        print("  ".join(map(str.rjust, map(str, values), widths)))
     return 0
 
 

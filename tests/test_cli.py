@@ -398,15 +398,38 @@ class TestTable:
         code, _, _ = run_cli("table", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("max_n", [1, 2, 300])
+    # 293 is prime, so its row's disconnected cell has 1 digit; 292's is the widest.
+    @pytest.mark.parametrize("max_n", [1, 2, 293, 300])
     def test_bytes_match_the_int_table(self, max_n):
-        rows = [vars(row) for row in counting.count_table(max_n)]
-        assert run_cli("table", str(max_n), "--format", "json") == (0, json.dumps(rows) + "\n", "")
-        cells = [[col.replace("_", "-") for col in rows[0]]]
-        cells += [[str(value) for value in row.values()] for row in rows]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        text = "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in cells)
+        json_text, text = int_table_bytes(max_n)
+        assert run_cli("table", str(max_n), "--format", "json") == (0, json_text, "")
         assert run_cli("table", str(max_n)) == (0, text, "")
+
+    def test_rows_need_no_factorisation_and_no_count_row(self, monkeypatch):
+        json_text, text = int_table_bytes(300)
+
+        def moebius_route(*args, **kwargs):
+            raise AssertionError("the table took the Moebius route")
+
+        monkeypatch.setattr(counting, "_factorize", moebius_route)
+        monkeypatch.setattr(counting, "count_row", moebius_route)
+        assert run_cli("table", "300", "--format", "json") == (0, json_text, "")
+        assert run_cli("table", "300") == (0, text, "")
+
+    @pytest.mark.parametrize("max_n", [counting._TABLE_MAX_N + 1, 10**9])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_order_above_the_ceiling_is_refused_before_any_row(self, monkeypatch, max_n, fmt):
+        def rows(*args):
+            raise AssertionError("rows were built past the ceiling")
+
+        # Without the check, these orders would stream for hours or exhaust memory.
+        monkeypatch.setattr(counting, "_rows", rows)
+        error = f"error: table prints orders up to {counting._TABLE_MAX_N}, got {max_n}\n"
+        assert run_cli("table", str(max_n), "--format", fmt) == (2, "", error)
+
+    def test_the_ceiling_itself_is_accepted(self):
+        rows = counting._decimal_rows(counting._TABLE_MAX_N)  # lazy: no row is built yet
+        assert next(rows) == counting.CountRow(1, 1, 1, 0, 1, 1)
 
     def test_json_writes_nothing_before_an_error(self):
         assert run_cli("table", "0", "--format", "json") == (2, "", "error: order must be >= 1, got 0\n")
@@ -423,6 +446,16 @@ class TestTable:
             sys.set_int_max_str_digits(limit)
         assert code == 0
         assert json.loads(out)[-1]["compositions"] == 1 << 2199
+
+
+def int_table_bytes(max_n):
+    """`table max_n` as JSON and as text, spelled from the int count_table."""
+    rows = [vars(row) for row in counting.count_table(max_n)]
+    cells = [[col.replace("_", "-") for col in rows[0]]]
+    cells += [[str(value) for value in row.values()] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    text = "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in cells)
+    return json.dumps(rows) + "\n", text
 
 
 def child(*args, **kwargs):

@@ -440,6 +440,22 @@ class TestDecimalRoute:
         with pytest.raises(ValueError):
             _decimal_rows(0)
 
+    def test_highly_composite_rows_spell_like_count_row(self):
+        wanted = {5040: None, 7560: None, 10080: None}
+        for row in _decimal_rows(10080):
+            if row.n in wanted:
+                wanted[row.n] = {k: str(v) for k, v in vars(row).items()}
+        assert wanted == {n: {k: str(v) for k, v in vars(count_row(n)).items()} for n in wanted}
+
+    def test_every_count_is_a_decimal_and_no_row_sees_the_exact_context(self):
+        for row in _decimal_rows(40):
+            assert decimal.getcontext().prec == decimal.DefaultContext.prec
+            counts = [v for k, v in vars(row).items() if k != "n"]
+            assert type(row.n) is int and {type(v) for v in counts} == {decimal.Decimal}
+
+    def test_int_rows_are_the_count_table(self):
+        assert list(counting._rows(400, 1)) == count_table(400)
+
     @pytest.mark.parametrize(
         "n", [_DECIMAL_FROM - 1, _DECIMAL_FROM, _DECIMAL_FROM + 1, 50021, 60060, 65536, 90090]
     )
