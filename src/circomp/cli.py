@@ -8,7 +8,6 @@ deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import sys
 from typing import Iterator, Sequence, TextIO
@@ -109,8 +108,7 @@ def handle_graph(args: argparse.Namespace) -> int:
 
 
 def handle_table(args: argparse.Namespace) -> int:
-    columns = ["n", *counting._COUNTED]
-    rows = map(operator.attrgetter(*columns), counting._decimal_rows(args.max_n))
+    rows, columns = counting._decimal_rows(args.max_n), counting.CountRow._fields
     if args.format == "json":
         import json
 

@@ -1,12 +1,14 @@
 """Divisor and Moebius machinery, closed-form counts, and enumerators.
 
 All counts are exact, so they stay correct far past the 64-bit range
-(2^(n-1) alone outgrows machine words at n = 65). Each count takes the
-builder of its powers of two as the keyword ``two``: by default two(k)
-is the Python integer 2^k, and `count` passes exact Decimals, which it
-prints in linear time. The streaming enumerators generate every member
-of each counted family in a fixed bitmask order, giving the closed forms
-an independent exhaustive cross-check at small n.
+(2^(n-1) alone outgrows machine words at n = 65). Each count function
+takes the builder of its powers of two as the keyword ``two``: by
+default two(k) is the Python integer 2^k, and `count` passes exact
+Decimals, which it prints in linear time. count_row sums ints by Moebius
+inversion; `table` reads Decimal rows from one divisor-sum sieve. The
+streaming enumerators generate every member of each counted family in a
+fixed bitmask order, giving the closed forms an independent exhaustive
+cross-check at small n.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ def count_compositions(n: int, *, two: Callable[[int], Any] = _TWO) -> Any:
 def count_compositions_with_parts(n: int, k: int) -> int:
     """binom(n-1, k-1) compositions of n with exactly k parts."""
     _require_positive(n)
-    if not 1 <= k <= n:
-        raise ValueError(f"part count must be in [1, {n}], got {k}")
+    if type(k) is not int or not 1 <= k <= n:
+        raise ValueError(f"part count must be in [1, {n}], got {k!r}")
     return math.comb(n - 1, k - 1)
 
 
@@ -325,27 +327,16 @@ class CountRow(Value):
         )
 
 
-def count_row(n: int, *, two: Callable[[int], Any] = _TWO) -> CountRow:
+def count_row(n: int) -> CountRow:
     """All five counts at order n, from one factorisation of n.
 
     The n = 1 palindromic entries are both 1 by the single-word
     convention; the raw count_aperiodic_palindromes still rejects n < 2.
     At n = 1 the Moebius sum is the single term count_palindromes(1) = 1.
     """
-    compositions = count_compositions(n, two=two)
-    # Lambdas, not partials: a partial with a keyword copies a dict on every
-    # call, which made the rows of `table 5000` about a fifth slower.
-    prime, aperiodic = _moebius_sums(
-        n, lambda d: count_compositions(d, two=two), lambda d: count_palindromes(d, two=two)
-    )
-    return CountRow(
-        n=n,
-        compositions=compositions,
-        prime_compositions=prime,
-        disconnected=compositions - prime,
-        palindromes=count_palindromes(n, two=two),
-        aperiodic_palindromes=aperiodic,
-    )
+    compositions = count_compositions(n)
+    prime, aperiodic = _moebius_sums(n, count_compositions, count_palindromes)
+    return CountRow(n, compositions, prime, compositions - prime, count_palindromes(n), aperiodic)
 
 
 def count_table(max_n: int) -> list[CountRow]:
@@ -378,43 +369,43 @@ def _exact_decimals() -> Any:
     ))
 
 
-def _decimal_rows(max_n: int) -> Iterator[CountRow]:
-    """_rows in exact Decimals; an order outside 1.._TABLE_MAX_N is refused at the call."""
+def _decimal_rows(max_n: int) -> Iterator[tuple[Any, ...]]:
+    """The rows of `table` for n = 1..max_n in one pass, as tuples in CountRow._fields order.
+
+    n is an int, the five counts exact Decimals. The paper's divisor sums
+    invert without Moebius terms: 2^(n-1) is the sum of the prime counts
+    over d | n, and 2^floor(n/2) that of the aperiodic counts. Each order
+    keeps the sums over its proper divisors found so far, and row n adds
+    its two counts to every multiple of n; row 1 has zero sums. No order
+    is factorised, and no consumer runs in the exact context. An order
+    outside 1.._TABLE_MAX_N is refused at the call.
+    """
     import decimal
 
     _require_positive(max_n)
     if max_n > _TABLE_MAX_N:
         raise ValueError(f"table prints orders up to {_TABLE_MAX_N}, got {max_n}")
-    return _rows(max_n, decimal.Decimal(1))
 
+    def rows() -> Iterator[tuple[Any, ...]]:
+        zero, one = decimal.Decimal(0), decimal.Decimal(1)
+        pending, pending_pal = [zero] * (max_n + 1), [zero] * (max_n + 1)
+        compositions = palindromes = one
+        exact = _exact_decimals()  # built once: building it per row took a fifth of their time
+        for n in range(1, max_n + 1):
+            with exact:
+                if n > 1:
+                    compositions += compositions
+                if n % 2 == 0:
+                    palindromes += palindromes
+                disconnected, pal_sum = pending[n], pending_pal[n]
+                pending[n] = pending_pal[n] = None
+                prime, aperiodic = compositions - disconnected, palindromes - pal_sum
+                multiples = slice(2 * n, None, n)
+                pending[multiples] = map(prime.__add__, pending[multiples])
+                pending_pal[multiples] = map(aperiodic.__add__, pending_pal[multiples])
+            yield n, compositions, prime, disconnected, palindromes, aperiodic
 
-def _rows(max_n: int, one: Any) -> Iterator[CountRow]:
-    """The count rows for n = 1..max_n in one pass, every count built from `one`.
-
-    The paper's divisor sums invert without Moebius terms: 2^(n-1) is
-    the sum of the prime counts over d | n, and 2^floor(n/2) that of the
-    aperiodic counts. Each order keeps the sums over its proper divisors
-    found so far, and row n adds its two counts to every multiple of n.
-    At n = 1 the sums are zero, which gives the row 1, 1, 0, 1, 1. No
-    order is factorised, and no consumer runs in the exact context.
-    """
-    zero = one - one
-    pending, pending_pal = [zero] * (max_n + 1), [zero] * (max_n + 1)
-    compositions = palindromes = one
-    exact = _exact_decimals()  # built once: building it per row took a fifth of their time
-    for n in range(1, max_n + 1):
-        with exact:
-            if n > 1:
-                compositions += compositions
-            if n % 2 == 0:
-                palindromes += palindromes
-            disconnected, pal_sum = pending[n], pending_pal[n]
-            pending[n] = pending_pal[n] = None
-            prime, aperiodic = compositions - disconnected, palindromes - pal_sum
-            multiples = slice(2 * n, None, n)
-            pending[multiples] = map(prime.__add__, pending[multiples])
-            pending_pal[multiples] = map(aperiodic.__add__, pending_pal[multiples])
-        yield CountRow(n, compositions, prime, disconnected, palindromes, aperiodic)
+    return rows()
 
 
 def _printed_count(n: int, family: str) -> Any:
@@ -437,5 +428,7 @@ def _printed_count(n: int, family: str) -> Any:
 
 
 def _require_positive(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"order must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")

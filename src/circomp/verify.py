@@ -263,12 +263,16 @@ def _count_oracles(n: int) -> Checks:
 
 
 def _moebius_inversion(n: int) -> Checks:
-    """Summing the coprime-word count over divisors recovers 2^(n-1)."""
+    """Summing the coprime-word count over divisors recovers 2^(n-1); the table's row n is count_row(n)."""
     # Over divisors(n), then by trial: a wrong _factorize, which the counts read, cancels in the first only.
     trial = [d for d in range(1, n + 1) if n % d == 0]
     totals = [sum(count_prime_compositions(d) for d in ds) for ds in (divisors(n), trial)]
     wrong = next((t for t in totals if t != count_compositions(n)), None)
-    yield 1, None if wrong is None else f"n={n}: {wrong} != 2^{n - 1}"
+    *_, row = counting._decimal_rows(n)
+    want = tuple(vars(counting.count_row(n)).values())
+    if wrong is not None:
+        yield 1, f"n={n}: {wrong} != 2^{n - 1}"
+    yield 1, None if row == want else f"n={n}: table row {_spelled(row)}, count_row {_spelled(want)}"
 
 
 def _part_refinement(n: int) -> Checks:

@@ -126,6 +126,20 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_aperiodic_palindromes(1)
 
+    @pytest.mark.parametrize("order", [3.0, 2.5, True])
+    def test_a_non_int_order_is_refused_by_name(self, order):
+        # Every call below reaches the one domain check. Without its type test, 3.0
+        # counts as NotImplemented, divisors(6.0) gives floats and True counts as 1.
+        calls = [
+            count_compositions, count_prime_compositions, count_disconnected_compositions,
+            count_palindromes, count_aperiodic_palindromes, count_row, count_table, divisors, moebius,
+            lambda n: count_compositions_with_parts(n, 1), lambda k: count_compositions_with_parts(5, k),
+            *(lambda n, family=family: iter_family(n, family) for family in counting.FAMILIES),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"got {order!r}$"):
+                call(order)
+
     def test_kernel_matches_full_divisor_sum(self):
         for n in range(2, 2001):
             terms = [(d, moebius(n // d)) for d in divisors(n)]
@@ -426,7 +440,7 @@ class TestDecimalRoute:
     @pytest.mark.parametrize("max_n", [1, 2, 300, 5000])
     def test_rows_spell_like_the_int_table(self, max_n):
         rows = [vars(row) for row in count_table(max_n)]
-        decimal_rows = [vars(row) for row in _decimal_rows(max_n)]
+        decimal_rows = [dict(zip(CountRow._fields, row)) for row in _decimal_rows(max_n)]
         assert [{k: str(v) for k, v in r.items()} for r in decimal_rows] == [
             {k: str(v) for k, v in r.items()} for r in rows
         ]
@@ -443,18 +457,19 @@ class TestDecimalRoute:
     def test_highly_composite_rows_spell_like_count_row(self):
         wanted = {5040: None, 7560: None, 10080: None}
         for row in _decimal_rows(10080):
-            if row.n in wanted:
-                wanted[row.n] = {k: str(v) for k, v in vars(row).items()}
+            if row[0] in wanted:
+                wanted[row[0]] = {k: str(v) for k, v in zip(CountRow._fields, row)}
         assert wanted == {n: {k: str(v) for k, v in vars(count_row(n)).items()} for n in wanted}
 
     def test_every_count_is_a_decimal_and_no_row_sees_the_exact_context(self):
         for row in _decimal_rows(40):
             assert decimal.getcontext().prec == decimal.DefaultContext.prec
-            counts = [v for k, v in vars(row).items() if k != "n"]
-            assert type(row.n) is int and {type(v) for v in counts} == {decimal.Decimal}
+            row = dict(zip(CountRow._fields, row))
+            counts = [v for k, v in row.items() if k != "n"]
+            assert type(row["n"]) is int and {type(v) for v in counts} == {decimal.Decimal}
 
     def test_int_rows_are_the_count_table(self):
-        assert list(counting._rows(400, 1)) == count_table(400)
+        assert [CountRow(*row) for row in _decimal_rows(400)] == count_table(400)
 
     @pytest.mark.parametrize(
         "n", [_DECIMAL_FROM - 1, _DECIMAL_FROM, _DECIMAL_FROM + 1, 50021, 60060, 65536, 90090]

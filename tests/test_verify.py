@@ -110,11 +110,17 @@ def factorize_skipping_5(n):
 
 
 SYMMETRIC_GENERATORS = verify._symmetric_generators
+DECIMAL_ROWS = counting._decimal_rows
 
 
 def last_generator_dropped(n):
     """Deliberately broken scan: the symmetric generating sets of every order stop one set short."""
     return iter(list(SYMMETRIC_GENERATORS(n))[:-1])
+
+
+def table_row_6_off_by_one(max_n):
+    """Deliberately broken table: row 6's disconnected count is one too high."""
+    return (row[:3] + (row[3] + 1,) + row[4:] if row[0] == 6 else row for row in DECIMAL_ROWS(max_n))
 
 
 class TestRunSuites:
@@ -424,6 +430,7 @@ MUTANTS = {
     "disconnected count off by one": (
         verify, "count_disconnected_compositions", lambda n: counting.count_disconnected_compositions(n) + 1
     ),
+    "table row 6 off by one": (counting, "_decimal_rows", table_row_6_off_by_one),
 }
 
 
@@ -486,6 +493,9 @@ class TestMutantMatrix:
         # Only the order-72 suite reads the disconnected count.
         order_72 = names.index("order-72 recomputation")
         assert kills["disconnected count off by one"] == [i == order_72 for i in range(len(names))]
+        # Only the divisor-sum suite reads the table's sieve, comparing each row with count_row.
+        divisor_sum = names.index("divisor-sum inversion identity")
+        assert kills["table row 6 off by one"] == [i == divisor_sum for i in range(len(names))]
 
     def test_a_wrong_disconnected_count_fails_the_order_72_line_with_its_figures(self, monkeypatch, capsys):
         monkeypatch.setattr(*MUTANTS["disconnected count off by one"])
@@ -495,6 +505,15 @@ class TestMutantMatrix:
             "self-consistent [connected=2361183241400454481920 disconnected=34368124929; published figures "
             f"{PUBLISHED_72_CONNECTED} and {PUBLISHED_72_DISCONNECTED} differ from the formula values]"
         )
+
+    def test_a_wrong_table_row_fails_the_divisor_sum_line_naming_both_rows(self, monkeypatch, capsys):
+        monkeypatch.setattr(*MUTANTS["table row 6 off by one"])
+        assert cli.main(["verify", "--max-n", "9"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL divisor-sum inversion identity (6 checks): first counterexample: "
+            "n=6: table row 6,32,27,6,8,5, count_row 6,32,27,5,8,5"
+        ]
 
 
 class ReversedPool:
