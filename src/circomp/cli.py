@@ -151,55 +151,58 @@ def render_dot(graph: CirculantDigraph, out: TextIO) -> None:
     keyword, joiner = ("digraph", "->") if graph.directed else ("graph", "--")
     out.write(f"{keyword} {{\n")
     for lo in range(0, graph.order, _CHUNK):
-        out.write("".join(map("  {};\n".format, range(lo, min(lo + _CHUNK, graph.order)))))
-    _write_runs(graph, f"  {{0}} {joiner} {{1}};\n", out)
+        hi = min(lo + _CHUNK, graph.order)
+        out.write("  %d;\n" * (hi - lo) % tuple(range(lo, hi)))
+    _write_runs(graph, f"  %d {joiner} %d;\n", out)
     out.write("}\n")
 
 
 def render_edgelist(graph: CirculantDigraph, out: TextIO) -> None:
     """Write one "i j" line per arc (digraph) or per unordered edge (graph)."""
-    _write_runs(graph, "{0} {1}\n", out)
+    _write_runs(graph, "%d %d\n", out)
 
 
 _CHUNK = 1 << 14  # lines per write, unless one vertex has more
-# Offsets above which a vertex's lines are joined, not spelled by a template.
-# Measured in ns per arc, template/join, on runs of 64 and of 1 vertices: at
-# 3 offsets 230/406 and 1352/1195; at 16, 182/209 and 540/334; from 32 on,
-# within 15% of each other on runs of 16 or more, while the join is 1.4x-2.3x
-# faster on runs of 4 or fewer (the complete digraph has runs of 1). Python
-# 3.11, Xeon, 2 vCPUs.
-_WIDE = 16
+# Offsets above which a vertex's lines are joined, not spelled by the template.
+# Measured in ns per arc, template/join, at k offsets: on long runs 150/205 at
+# k = 16, 150/173 at 32 and 155/164 at 64; on runs of 1 vertex 870/297 at 16
+# and 820/225 at 32. A digraph has k + 1 runs, so the template's loss on short
+# runs is bounded by k(k + 1) arcs, while its gain grows with the order.
+# Python 3.11, Xeon, 2 vCPUs.
+_WIDE = 32
 
 
 def _write_runs(graph: CirculantDigraph, pair: str, out: TextIO) -> None:
-    """Write the arcs (digraph) or edges (graph), each spelled by `pair` from {0} and {1}.
+    """Write the arcs (digraph) or edges (graph), each spelled by `pair` from two %d.
 
     Every vertex of a run has the same ascending target offsets. With
-    few offsets, one template with a field per offset spells all of a
-    vertex's lines, mapped over ranges of sources and targets. With
-    many, runs are short, a range per offset and run costs more than
-    it saves, and each vertex joins the digits of its targets instead. No
-    Python code runs per line, and a write holds whole vertices: at most
-    _CHUNK lines, unless one vertex has more.
+    few offsets, each chunk of a run is one % format: `pair` repeated
+    once per offset and vertex, applied to the sources and targets
+    interleaved in one flat tuple, which slice assignment fills from
+    ranges. With many, runs tend to be short, two slices per offset and
+    chunk cost more than they save, and each vertex joins the digits of
+    its targets instead. No Python code runs per line, and a write holds
+    whole vertices: at most _CHUNK lines, unless one vertex has more.
     """
-    head, tail = pair.split("{1}")
+    head, _, tail = pair.rpartition("%d")
     for vertices, offsets in graph._runs(pairs=not graph.directed):
         if not offsets:
             continue
-        wide = len(offsets) > _WIDE
-        if not wide:
-            spell = "".join(pair.format("{0}", f"{{{k}}}") for k in range(1, len(offsets) + 1)).format
+        wide, width = len(offsets) > _WIDE, 2 * len(offsets)
         step = max(1, _CHUNK // len(offsets))
         for lo in range(vertices.start, vertices.stop, step):
             hi = min(lo + step, vertices.stop)
             if wide:
-                starts = map(head.format, range(lo, hi))
-                lines = (s + (tail + s).join(map(str, map(i.__add__, offsets))) + tail
-                         for i, s in zip(range(lo, hi), starts))
+                starts = map(head.__mod__, range(lo, hi))
+                text = "".join(s + (tail + s).join(map(str, map(i.__add__, offsets))) + tail
+                               for i, s in zip(range(lo, hi), starts))
             else:
-                targets = map(range, map(lo.__add__, offsets), map(hi.__add__, offsets))
-                lines = map(spell, range(lo, hi), *targets)
-            out.write("".join(lines))
+                fields = [0] * (width * (hi - lo))
+                for k, offset in enumerate(offsets):
+                    fields[2 * k::width] = range(lo, hi)
+                    fields[2 * k + 1::width] = range(lo + offset, hi + offset)
+                text = pair * (len(fields) // 2) % tuple(fields)
+            out.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

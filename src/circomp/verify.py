@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, islice, starmap, zip_longest
 from typing import Callable, Iterable, Iterator
 
 from . import counting
+from ._value import Value
 from .compositions import Composition
 from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
 from .bijections import aperiodic_palindrome_of, connected_set_of, gap_composition, prefix_sum_set
@@ -38,15 +38,35 @@ PUBLISHED_72_CONNECTED = 23_611_832_414_004_545_432_040
 PUBLISHED_72_DISCONNECTED = 34_368_074_808
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Value):
+    """One suite's outcome. Its seconds are reported but take no part in == or hash."""
+
+    _fields = ("name", "passed", "checked", "ceiling", "counterexample", "detail")
+    __slots__ = (*_fields, "seconds")
     name: str
     passed: bool
     checked: int
     ceiling: int  # the largest order the suite was run to
-    counterexample: str | None = None
-    detail: str | None = None
-    seconds: float = field(default=0.0, compare=False)
+    counterexample: str | None
+    detail: str | None
+    seconds: float
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        checked: int,
+        ceiling: int,
+        counterexample: str | None = None,
+        detail: str | None = None,
+        seconds: float = 0.0,
+    ) -> None:
+        values = (name, passed, checked, ceiling, counterexample, detail, seconds)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return self.__class__, (*self._key(self), self.seconds)
 
 
 Checks = Iterator[tuple[int, str | None]]
@@ -371,7 +391,7 @@ def _merge(units: Iterable[SuiteResult], ceiling: int) -> SuiteResult:
         seconds += unit.seconds
         if not unit.passed:
             break
-    return replace(unit, checked=checked, ceiling=ceiling, seconds=seconds)
+    return SuiteResult(unit.name, unit.passed, checked, ceiling, unit.counterexample, unit.detail, seconds)
 
 
 def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:

@@ -360,17 +360,36 @@ class TestRenderedRuns:
                 assert rendered_text(render, graph) == rule_text(render, graph)
 
     @pytest.mark.parametrize("render", [render_dot, render_edgelist])
-    @pytest.mark.parametrize("steps", [(1, 5), tuple(range(1, 40, 2))])
+    @pytest.mark.parametrize("steps", [(1, 5), tuple(range(1, 80, 2))])
     def test_writes_hold_whole_vertices_up_to_the_chunk(self, monkeypatch, render, steps):
-        # 2 offsets take the template route, 20 the joined one.
+        # 2 offsets take the template route, 40 the joined one.
+        assert len(steps) == 2 or len(steps) > cli._WIDE
         monkeypatch.setattr(cli, "_CHUNK", 7)
-        graph = build_digraph(ConnectionSet(50, (0, *steps)))
+        graph = build_digraph(ConnectionSet(100, (0, *steps)))
         out = WriteLog()
         render(graph, out)
         assert "".join(out.writes) == rule_text(render, graph)
         arc_writes = [w for w in out.writes if "->" in w or render is render_edgelist]
         assert all(w.count("\n") % len(steps) == 0 for w in arc_writes)
         assert max(w.count("\n") for w in out.writes) <= max(7, len(steps))
+
+    @pytest.mark.parametrize("render", [render_dot, render_edgelist])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_and_past_the_wide_offset_count(self, monkeypatch, render, extra):
+        # A symmetric set of _WIDE + extra steps: every digraph run and the first
+        # graph run have that many offsets, so extra = 1 joins them and 0 does not.
+        # Chunks of about 90 vertices cut the long runs mid-way, and the run
+        # around 999 -> 1000 lies within one chunk.
+        n, count = 1010, cli._WIDE + extra
+        small = [7 * j + 1 for j in range(count // 2)]
+        steps = {*small, *(n - s for s in small)} | ({n // 2} if count % 2 else set())
+        assert len(steps) == count
+        monkeypatch.setattr(cli, "_CHUNK", 3000)
+        for graph in both_modes(ConnectionSet(n, (0, *sorted(steps)))):
+            out = WriteLog()
+            render(graph, out)
+            assert len(out.writes) > 4
+            assert "".join(out.writes) == rule_text(render, graph)
 
 
 class TestTable:
@@ -501,7 +520,7 @@ class TestFreshProcess:
 
     def test_import_loads_no_dataclasses(self):
         # -S skips the host's site hooks, which may import dataclasses themselves.
-        code = "import sys, circomp.cli; print('dataclasses' in sys.modules)"
+        code = "import sys, circomp.cli, circomp.verify; print('dataclasses' in sys.modules)"
         proc = child("-S", "-c", code, text=True)
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
