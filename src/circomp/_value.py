@@ -1,8 +1,12 @@
 """The behaviour every circomp value class shares, without ``dataclasses``.
 
 A value class names its fields in ``_fields`` and stores them in its own
-``__init__`` once its checks pass: with ``object.__setattr__``, or
-through the instance ``__dict__`` of a class that keeps one. Importing
+``__init__`` once its checks pass: through each field's slot descriptor,
+as ``Cls.field.__set__(self, value)`` bound once at module level, or
+through the instance ``__dict__`` of a class that keeps one. Neither
+route passes through ``Value.__setattr__``, which refuses every
+assignment. A slot setter skips the lookup by name that
+``object.__setattr__`` makes, so it stores a field in less time. Importing
 ``dataclasses`` would add about 10 ms to the start of every command
 (median of 21 fresh starts, Python 3.11, 2-vCPU Xeon), since it pulls in
 ``inspect``, ``ast`` and ``dis``.

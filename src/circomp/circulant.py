@@ -40,8 +40,8 @@ class ConnectionSet(Value):
             raise ValueError(f"elements must be strictly increasing: {elems}")
         if elems[-1] >= modulus:
             raise ValueError(f"elements must lie in [0, {modulus}): {elems}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "elements", elems)
+        _set_modulus(self, modulus)
+        _set_elements(self, elems)
 
     @classmethod
     def _unchecked(cls, modulus: int, elements: tuple[int, ...]) -> ConnectionSet:
@@ -51,8 +51,8 @@ class ConnectionSet(Value):
         sets they build themselves. The public constructor always validates.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "elements", elements)
+        _set_modulus(self, modulus)
+        _set_elements(self, elements)
         return self
 
     @classmethod
@@ -131,8 +131,8 @@ class CirculantDigraph(Value):
             raise ValueError(
                 f"{connection} is not closed under negation; it defines a digraph only"
             )
-        object.__setattr__(self, "connection", connection)
-        object.__setattr__(self, "directed", directed)
+        _set_connection(self, connection)
+        _set_directed(self, directed)
 
     @property
     def order(self) -> int:
@@ -195,6 +195,11 @@ class CirculantDigraph(Value):
                     count += 1
                     stack.append(j)
         return count == n
+
+
+# The slot setters of the fields: they store past Value.__setattr__, which refuses assignment.
+_set_modulus, _set_elements = ConnectionSet.modulus.__set__, ConnectionSet.elements.__set__
+_set_connection, _set_directed = CirculantDigraph.connection.__set__, CirculantDigraph.directed.__set__
 
 
 def _pairs_of(runs: Iterator[tuple[range, tuple[int, ...]]]) -> Iterator[tuple[int, int]]:

@@ -28,7 +28,7 @@ class Composition(Value):
             raise ValueError("composition needs at least one part")
         if not ({int}.issuperset(map(type, parts)) and min(parts) > 0):
             raise ValueError(f"parts must be positive integers: {parts}")
-        object.__setattr__(self, "parts", parts)
+        _set_parts(self, parts)
 
     @classmethod
     def _unchecked(cls, parts: tuple[int, ...]) -> Composition:
@@ -38,7 +38,7 @@ class Composition(Value):
         words they build themselves. The public constructor always validates.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "parts", parts)
+        _set_parts(self, parts)
         return self
 
     @property
@@ -90,6 +90,10 @@ class Composition(Value):
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
+
+
+# The slot setter of the field: it stores past Value.__setattr__, which refuses assignment.
+_set_parts = Composition.parts.__set__
 
 
 def parse_composition(text: str) -> Composition:

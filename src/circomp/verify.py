@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import chain, islice, starmap, zip_longest
 from typing import Callable, Iterable, Iterator
@@ -62,12 +61,15 @@ class SuiteResult(Value):
         seconds: float = 0.0,
     ) -> None:
         values = (name, passed, checked, ceiling, counterexample, detail, seconds)
-        for slot, value in zip(self.__slots__, values):
-            object.__setattr__(self, slot, value)
+        for store, value in zip(_STORES, values):
+            store(self, value)
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         return self.__class__, (*self._key(self), self.seconds)
 
+
+# The slot setters, in __slots__ order: they store past Value.__setattr__, which refuses assignment.
+_STORES = tuple(getattr(SuiteResult, slot).__set__ for slot in SuiteResult.__slots__)
 
 Checks = Iterator[tuple[int, str | None]]
 
@@ -102,17 +104,23 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
     Mask 0 is the set {0}, whose word is (n,). If mask m has t trailing
     one bits, its word is t ones, a part g >= 2, then the rest; adding 1
     clears those bits and sets bit t, so the word of m + 1 is
-    (t + 1, g - 1) followed by the same rest. Uses no bit loop over the
-    mask, so it is a route independent of the kernel and of the
-    per-mask decoding: the round-trip, count and part-count suites all
-    enumerate the compositions of n through it.
+    (t + 1, g - 1) followed by the same rest. Every even m has t = 0, so
+    its step, (1, g - 1) and the rest, is taken without finding t. Uses
+    no bit loop over the mask, so it is a route independent of the
+    kernel and of the per-mask decoding: the round-trip, count and
+    part-count suites all enumerate the compositions of n through it.
     """
     word = (n,)
-    yield word
-    for m in range((1 << (n - 1)) - 1):
+    # Each pass steps from the even mask m - 1 to m, then from m to m + 1.
+    for m in range(1, (1 << (n - 1)) - 1, 2):
+        yield word
+        word = (1, word[0] - 1) + word[1:]
+        yield word
         t = (m ^ (m + 1)).bit_length() - 1
         word = (t + 1, word[t] - 1) + word[t + 1 :]
-        yield word
+    yield word
+    if n > 1:
+        yield (1, word[0] - 1) + word[1:]  # the last mask, 2^(n-1) - 1, is odd
 
 
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
@@ -209,10 +217,14 @@ def _symmetric_generators(n: int) -> Iterator[tuple[int, ...]]:
     A scan of the kernel's tuples of all 2^(n-1) connection sets, with no
     tuple wrapped: a set is symmetric iff its nonzero elements, reversed,
     are n minus each, and it generates Z_n iff gcd(n, *elements) is 1.
+    A set whose first and last nonzero elements do not sum to n fails the
+    first test, so it is dropped before any tuple is built for it.
     """
     return (
         t for t in counting._words(n, "connection_sets")
-        if t[:0:-1] == tuple(map(n.__sub__, t[1:])) and math.gcd(n, *t) == 1
+        if (len(t) == 1 or t[1] + t[-1] == n)
+        and t[:0:-1] == tuple(map(n.__sub__, t[1:]))
+        and math.gcd(n, *t) == 1
     )
 
 
@@ -251,7 +263,8 @@ def _count_oracles(n: int) -> Checks:
     ends early or runs past the walk leaves an unequal chunk, so it
     fails too. The coprime words and the palindromes are tallied on the
     tuples, and the palindromes the scan finds must reproduce the
-    palindrome stream item for item.
+    palindrome stream item for item; a word whose ends differ is no
+    palindrome, so it is dropped before it is reversed.
     """
     prime = 0
     scanned_pals: list[tuple[int, ...]] = []
@@ -264,7 +277,7 @@ def _count_oracles(n: int) -> Checks:
             m = start + i if start + i < count_compositions(n) else None  # None: past the last mask
             yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the mask route {_spelled(w)}"
         prime += list(starmap(math.gcd, chunk)).count(1)
-        scanned_pals += [w for w in chunk if w == w[::-1]]
+        scanned_pals += [w for w in chunk if w[0] == w[-1] and w == w[::-1]]
     yield count_compositions(n), None
     if prime != count_prime_compositions(n):
         yield 0, f"n={n}: {prime} coprime words enumerated vs {count_prime_compositions(n)} counted"
@@ -414,6 +427,9 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
     ]
     run = _run_unit
     if workers > 1:
+        # Imported here only: the pool's modules add about 18 ms to a fresh start.
+        from concurrent.futures import ProcessPoolExecutor
+
         units = sorted(((i, n) for i, ns in enumerate(orders) for n in ns), key=lambda u: (-u[1], u[0]))
         with ProcessPoolExecutor(max_workers=min(workers, len(SUITES))) as pool:
             done = dict(zip(units, pool.map(_run_unit, *zip(*units))))

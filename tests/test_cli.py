@@ -488,6 +488,14 @@ def child(*args, **kwargs):
     )
 
 
+def loaded(code):
+    """The modules a fresh process holds after running code."""
+    proc = child("-c", f"{code}; import sys; print(*sys.modules)", text=True)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    return set(out.split())
+
+
 class TestFreshProcess:
     @pytest.mark.parametrize(
         "argv",
@@ -506,16 +514,15 @@ class TestFreshProcess:
         assert err == b""
 
     def test_import_loads_no_suites_pool_or_json(self):
-        def loaded(code):
-            proc = child("-c", f"{code}; import sys; print(*sys.modules)", text=True)
-            out, err = proc.communicate(timeout=60)
-            assert proc.returncode == 0, err
-            return set(out.split())
-
-        bare = loaded("pass")
-        added = loaded("import circomp.cli") - bare
+        added = loaded("import circomp.cli") - loaded("pass")
         assert "circomp.cli" in added
         guarded = ("circomp.verify", "concurrent.futures", "multiprocessing", "json")
+        assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
+
+    def test_a_one_worker_verify_loads_no_pool(self):
+        added = loaded("import circomp.verify; circomp.verify.run_suites(4)") - loaded("pass")
+        assert "circomp.verify" in added
+        guarded = ("concurrent.futures", "multiprocessing")
         assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
 
     def test_import_loads_no_dataclasses(self):

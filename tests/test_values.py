@@ -88,6 +88,23 @@ class TestContract:
         assert "__init__" in type(value).__dict__
 
 
+@pytest.mark.parametrize("cls,args", [(Composition, ((1, 2),)), (ConnectionSet, (4, (0, 1, 3)))],
+                         ids=["Composition", "ConnectionSet"])
+def test_unchecked_values_behave_like_validated_ones(cls, args):
+    # Both constructors store the fields through the slot setters, past Value.__setattr__.
+    checked, unchecked = cls(*args), cls._unchecked(*args)
+    assert unchecked == checked and hash(unchecked) == hash(checked) and repr(unchecked) == repr(checked)
+    for trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        back = trip(unchecked)
+        assert back == checked and type(back) is cls and hash(back) == hash(checked)
+    for value in (checked, unchecked):
+        for name in cls._fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+
+
 class TestCountRow:
     def test_fields_follow_the_counted_families(self):
         fields = ("n", *_COUNTED)

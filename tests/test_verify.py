@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import functools
 import inspect
 import math
@@ -95,6 +96,14 @@ def walk_one_word_short(n):
     return iter(list(SUCCESSOR_WORDS(n))[:-1])
 
 
+def odd_step_reversed_at_mask_5(n):
+    """Deliberately broken walk: the odd step into mask 5 spells its new parts (g - 1, 1), not (1, g - 1)."""
+    words = list(SUCCESSOR_WORDS(n))
+    if len(words) > 5:
+        words[5] = words[5][1::-1] + words[5][2:]
+    return iter(words)
+
+
 def factorize_skipping_5(n):
     """Deliberately broken trial division: after 3 it steps by 3, so 5, 7, 11, ... are never tried."""
     factors = {}
@@ -118,6 +127,11 @@ def last_generator_dropped(n):
     return iter(list(SYMMETRIC_GENERATORS(n))[:-1])
 
 
+def end_test_inverted(n):
+    """Deliberately broken scan: its end test drops the sets whose ends sum to n, where it should keep them."""
+    return (t for t in SYMMETRIC_GENERATORS(n) if len(t) == 1 or t[1] + t[-1] != n)
+
+
 def table_row_6_off_by_one(max_n):
     """Deliberately broken table: row 6's disconnected count is one too high."""
     return (row[:3] + (row[3] + 1,) + row[4:] if row[0] == 6 else row for row in DECIMAL_ROWS(max_n))
@@ -135,7 +149,7 @@ class TestRunSuites:
 
     def test_pool_is_capped_at_the_suite_count(self, monkeypatch):
         monkeypatch.setattr(ReversedPool, "sizes", [])
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
         assert run_suites(max_n=4, workers=100_000) == run_suites(max_n=4)
         assert run_suites(max_n=4, workers=3) == run_suites(max_n=4)
         assert ReversedPool.sizes == [len(SUITES), 3]
@@ -355,7 +369,7 @@ class TestFaultInjection:
             return counting.count_prime_compositions(n)
 
         monkeypatch.setattr(verify, "count_prime_compositions", raise_at_72)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
         assert cli.main(["verify", "--max-n", "3", "--workers", workers]) == 1
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err
@@ -423,7 +437,9 @@ MUTANTS = {
     "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
     "last composition dropped": (counting, "_words", last_composition_dropped),
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
+    "walk's odd step reversed at mask 5": (verify, "_successor_words", odd_step_reversed_at_mask_5),
     "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
+    "symmetric scan's end test inverted": (verify, "_symmetric_generators", end_test_inverted),
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
     "gcd column seeded with 1": (counting, "_low_table", gcd_column_seeded_with_1),
     "prime stream lists the disconnected words": (counting, "_words", prime_stream_disconnected),
@@ -473,6 +489,10 @@ class TestMutantMatrix:
         # walk, so each catches a walk that stops short.
         for suite in ("count formulas vs enumeration", "gap-word round trips", "part-count refinement"):
             assert kills["successor walk one word short"][names.index(suite)], suite
+        # A wrong odd step keeps every part count, so the part-count tally misses it;
+        # the count and round-trip suites compare the walk word by word.
+        rounds = names.index("gap-word round trips")
+        assert kills["walk's odd step reversed at mask 5"] == [i in (rounds, count) for i in range(len(names))]
         # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count,
         # and compares them with the symmetric-set stream, so it catches that stream's order.
         symmetry = names.index("symmetry vs palindromicity")
@@ -486,7 +506,8 @@ class TestMutantMatrix:
         # It reads the symmetric generating sets from its own raw-tuple scan, and
         # every word of a class must be the image of some set, so it alone
         # catches a scan that drops a set.
-        assert kills["symmetric generator scan one set short"] == [i == bijection for i in range(len(names))]
+        for mutant in ("symmetric generator scan one set short", "symmetric scan's end test inverted"):
+            assert kills[mutant] == [i == bijection for i in range(len(names))], mutant
         # Only the count suite's aperiodic tally and the bijection suite's stream read
         # periods, so a word that always reads as aperiodic fails those two alone.
         assert kills["period is the part count"] == [i in (count, bijection) for i in range(len(names))]
@@ -505,6 +526,19 @@ class TestMutantMatrix:
             "self-consistent [connected=2361183241400454481920 disconnected=34368124929; published figures "
             f"{PUBLISHED_72_CONNECTED} and {PUBLISHED_72_DISCONNECTED} differ from the formula values]"
         )
+
+    @pytest.mark.parametrize("mutant,fails", [
+        ("walk's odd step reversed at mask 5", {
+            "gap-word round trips": "n=4, mask 5: the gap word is 1,2,1, the walk 2,1,1",
+            "count formulas vs enumeration": "n=4, mask 5: the kernel gives 1,2,1, the mask route 2,1,1",
+        }),
+        ("symmetric scan's end test inverted", {
+            "aperiodic palindrome bijection": "n=2: word 2 is the image of no set",
+        }),
+    ])
+    def test_a_broken_fast_path_fails_at_its_first_witness(self, mutant, fails, monkeypatch):
+        monkeypatch.setattr(*MUTANTS[mutant])
+        assert {r.name: r.counterexample for r in run_suites(max_n=9) if not r.passed} == fails
 
     def test_a_wrong_table_row_fails_the_divisor_sum_line_naming_both_rows(self, monkeypatch, capsys):
         monkeypatch.setattr(*MUTANTS["table row 6 off by one"])
@@ -545,7 +579,7 @@ class TestUnits:
         # merge must keep the smallest failing n and drop the units after it.
         owner, attr, replacement = MUTANTS[mutant]
         monkeypatch.setattr(owner, attr, replacement)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
         sequential = run_suites(max_n=9)
         assert not all(r.passed for r in sequential)
         assert run_suites(max_n=9, workers=2) == sequential
@@ -573,7 +607,7 @@ class TestUnits:
 
     def test_results_carry_ceiling_and_seconds(self, monkeypatch):
         # A failing suite still reports its top order as its ceiling, not the failing n.
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", ReversedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
         owner, attr, replacement = MUTANTS["gcd criterion ignores the modulus"]
         for mutant in (None, replacement):
             with pytest.MonkeyPatch.context() as patch:
@@ -612,12 +646,12 @@ class TestUnits:
             orders = [72] if ceiling == 72 else list(range(1, top + 1))
             assert calls[name] == [(n, n != last.get(name)) for n in orders]
 
-    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_symmetric_generators_equal_the_filtered_sets(self, n):
         want = [s.elements for s in counting.iter_family(n, "connection_sets") if s.is_symmetric() and s.gcd() == 1]
         assert list(verify._symmetric_generators(n)) == want
 
-    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_successor_walk_equals_the_per_mask_route(self, n):
         want = [gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
         assert list(verify._successor_words(n)) == want
