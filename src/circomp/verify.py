@@ -12,10 +12,9 @@ import math
 import time
 from functools import partial
 from itertools import chain, islice, starmap, zip_longest
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counting
-from ._value import Value
 from .compositions import Composition
 from .circulant import ConnectionSet, build_digraph, is_connected_by_gcd
 from .bijections import aperiodic_palindrome_of, connected_set_of, gap_composition, prefix_sum_set
@@ -37,39 +36,17 @@ PUBLISHED_72_CONNECTED = 23_611_832_414_004_545_432_040
 PUBLISHED_72_DISCONNECTED = 34_368_074_808
 
 
-class SuiteResult(Value):
-    """One suite's outcome. Its seconds are reported but take no part in == or hash."""
+class SuiteResult(NamedTuple):
+    """One suite's outcome."""
 
-    _fields = ("name", "passed", "checked", "ceiling", "counterexample", "detail")
-    __slots__ = (*_fields, "seconds")
     name: str
     passed: bool
     checked: int
-    ceiling: int  # the largest order the suite was run to
+    ceiling: int  # the order a unit ran at; a merged suite's top order, failing or not
     counterexample: str | None
     detail: str | None
     seconds: float
 
-    def __init__(
-        self,
-        name: str,
-        passed: bool,
-        checked: int,
-        ceiling: int,
-        counterexample: str | None = None,
-        detail: str | None = None,
-        seconds: float = 0.0,
-    ) -> None:
-        values = (name, passed, checked, ceiling, counterexample, detail, seconds)
-        for store, value in zip(_STORES, values):
-            store(self, value)
-
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return self.__class__, (*self._key(self), self.seconds)
-
-
-# The slot setters, in __slots__ order: they store past Value.__setattr__, which refuses assignment.
-_STORES = tuple(getattr(SuiteResult, slot).__set__ for slot in SuiteResult.__slots__)
 
 Checks = Iterator[tuple[int, str | None]]
 
@@ -404,7 +381,7 @@ def _merge(units: Iterable[SuiteResult], ceiling: int) -> SuiteResult:
         seconds += unit.seconds
         if not unit.passed:
             break
-    return SuiteResult(unit.name, unit.passed, checked, ceiling, unit.counterexample, unit.detail, seconds)
+    return unit._replace(checked=checked, ceiling=ceiling, seconds=seconds)
 
 
 def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:

@@ -86,6 +86,8 @@ class TestTooLarge:
             ("count", "aperiodic-palindromes", "1000000000000000003"),
             # Just above the order `count` prints: refused before any work.
             ("count", "compositions", str(counting._COUNT_MAX_N + 1)),
+            # Its image would be all of Z_n: refused before the set is built.
+            ("convert", "tau", str(10**8)),
         ],
     )
     def test_exits_2_with_one_line(self, argv):
@@ -236,6 +238,33 @@ class TestConvert:
         code, out, _ = run_cli("convert", "tau-inv", "8:", "0,1,7")
         assert code == 0
         assert out == "1,6,1\n"
+
+    def test_tau_refuses_an_image_above_its_ceiling(self, monkeypatch):
+        monkeypatch.setattr(cli, "_TAU_MAX_SIZE", 1000)
+        want = "1000: " + ",".join(map(str, range(1000))) + "\n"
+        assert run_cli("convert", "tau", "1000") == (0, want, "")
+        # The size is part count times gcd, not the total: 1,2,1 repeated 300 times.
+        want = "1200: " + ",".join(str(4 * k + r) for k in range(300) for r in (0, 1, 3)) + "\n"
+        assert run_cli("convert", "tau", "300,600,300") == (0, want, "")
+
+        def building(word):
+            raise AssertionError("the image was built past the ceiling")
+
+        monkeypatch.setattr(cli, "connected_set_of", building)
+        error = "error: tau builds images of up to 1000 elements, got 1001\n"
+        assert run_cli("convert", "tau", "1001") == (2, "", error)
+
+    @pytest.mark.parametrize(
+        "direction,payload,want",
+        [
+            ("to-set", "100000000", "100000000: 0"),
+            ("to-composition", "100000000: 0", "100000000"),
+            ("tau-inv", "100000000: 0,1,99999999", "1,99999998,1"),
+        ],
+    )
+    def test_other_directions_stay_the_size_of_their_input(self, direction, payload, want):
+        # Each builds only as many numbers as the payload holds, whatever its order.
+        assert run_cli("convert", direction, payload) == (0, want + "\n", "")
 
     def test_text_round_trip(self):
         _, set_text, _ = run_cli("convert", "to-set", "2,1,2")

@@ -137,6 +137,11 @@ def table_row_6_off_by_one(max_n):
     return (row[:3] + (row[3] + 1,) + row[4:] if row[0] == 6 else row for row in DECIMAL_ROWS(max_n))
 
 
+def untimed(results):
+    """The results with their seconds dropped, so that runs compare by what they found."""
+    return [r._replace(seconds=None) for r in results]
+
+
 class TestRunSuites:
     def test_small_universe_all_pass_in_registry_order(self):
         results = run_suites(max_n=6)
@@ -145,13 +150,16 @@ class TestRunSuites:
         assert all(r.checked > 0 for r in results)
 
     def test_workers_match_sequential(self):
-        assert run_suites(max_n=4, workers=2) == run_suites(max_n=4)
+        pooled = run_suites(max_n=4, workers=2)
+        assert untimed(pooled) == untimed(run_suites(max_n=4))
+        # The pool pickles each unit's result back to this process, seconds included.
+        assert all(r.seconds > 0 for r in pooled)
 
     def test_pool_is_capped_at_the_suite_count(self, monkeypatch):
         monkeypatch.setattr(ReversedPool, "sizes", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
-        assert run_suites(max_n=4, workers=100_000) == run_suites(max_n=4)
-        assert run_suites(max_n=4, workers=3) == run_suites(max_n=4)
+        assert untimed(run_suites(max_n=4, workers=100_000)) == untimed(run_suites(max_n=4))
+        assert untimed(run_suites(max_n=4, workers=3)) == untimed(run_suites(max_n=4))
         assert ReversedPool.sizes == [len(SUITES), 3]
 
     def test_rejects_bad_arguments(self):
@@ -582,7 +590,7 @@ class TestUnits:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
         sequential = run_suites(max_n=9)
         assert not all(r.passed for r in sequential)
-        assert run_suites(max_n=9, workers=2) == sequential
+        assert untimed(run_suites(max_n=9, workers=2)) == untimed(sequential)
 
     def test_check_counts_follow_the_closed_forms(self):
         # perfbench/oracle.py derives these counts too; a suite edit that
