@@ -84,7 +84,7 @@ def _list_blocks(n: int, family: str, json_rows: bool) -> Iterator[list[str]]:
 
 # The most elements `convert tau` builds: a word's image has part_count * gcd of
 # them. The one-part word n maps to all of Z_n, peaking at 128 MB for 10^6, 243 MB
-# for 2*10^6 and 473 MB for 4*10^6 (Python 3.11, Xeon), near `table`'s 558 MB.
+# for 2*10^6 and 473 MB for 4*10^6 (Python 3.11, Xeon).
 _TAU_MAX_SIZE = 4_000_000
 
 
@@ -120,20 +120,19 @@ def handle_graph(args: argparse.Namespace) -> int:
 def handle_table(args: argparse.Namespace) -> int:
     rows, columns = counting._decimal_rows(args.max_n), counting.CountRow._fields
     if args.format == "json":
-        import json
-
-        # The bytes of json.dumps(list of row dicts), written row by row.
-        row = "{{" + ", ".join(f"{json.dumps(col)}: {{}}" for col in columns) + "}}"
+        # The bytes of json.dumps(list of row dicts), written row by row. The
+        # keys are ASCII identifiers, which json.dumps spells in plain quotes.
+        row = "{{" + ", ".join(f'"{col}": {{}}' for col in columns) + "}}"
         lead = "["
         for values in rows:
             sys.stdout.write(lead + row.format(*map(str, values)))
             lead = ", "
         print("]")
         return 0
-    # Held as numbers, spelled as printed: a Decimal keeps 19 digits in 8 bytes.
-    rows = list(rows)
+    # The last two rows hold every column's widest cell, so the others stream.
     header = [col.replace("_", "-") for col in columns]
-    widths = [max(len(name), len(str(max(column)))) for name, column in zip(header, zip(*rows))]
+    last = zip(*counting._last_rows(args.max_n))
+    widths = [max(len(name), *map(len, map(str, cells))) for name, cells in zip(header, last)]
     print("  ".join(map(str.rjust, header, widths)))
     for values in rows:
         print("  ".join(map(str.rjust, map(str, values), widths)))

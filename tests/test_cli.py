@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -447,7 +448,10 @@ class TestTable:
         assert code == 2
 
     # 293 is prime, so its row's disconnected cell has 1 digit; 292's is the widest.
-    @pytest.mark.parametrize("max_n", [1, 2, 293, 300])
+    # Text widths come from the last two rows: 3 and 4 are the first orders with rows
+    # before those, and the disconnected column's widest cell is in row N - 1 at 295,
+    # in row N at 294.
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 293, 294, 295, 300])
     def test_bytes_match_the_int_table(self, max_n):
         json_text, text = int_table_bytes(max_n)
         assert run_cli("table", str(max_n), "--format", "json") == (0, json_text, "")
@@ -463,6 +467,21 @@ class TestTable:
         monkeypatch.setattr(counting, "count_row", moebius_route)
         assert run_cli("table", "300", "--format", "json") == (0, json_text, "")
         assert run_cli("table", "300") == (0, text, "")
+
+    def test_text_rows_reach_stdout_before_the_last_row_is_drawn(self, monkeypatch):
+        sieve, printed = counting._decimal_rows, []
+
+        def drawn(max_n):
+            rows = sieve(max_n)
+            for n in range(1, max_n + 1):
+                if n == max_n:
+                    printed.append(sys.stdout.getvalue())
+                yield next(rows)
+
+        monkeypatch.setattr(counting, "_decimal_rows", drawn)
+        _, text = int_table_bytes(40)
+        assert run_cli("table", "40") == (0, text, "")
+        assert printed == ["".join(text.splitlines(keepends=True)[:-1])]
 
     @pytest.mark.parametrize("max_n", [counting._TABLE_MAX_N + 1, 10**9])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -548,11 +567,39 @@ class TestFreshProcess:
         guarded = ("circomp.verify", "concurrent.futures", "multiprocessing", "json")
         assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
 
+    def test_a_json_table_loads_no_json(self):
+        # The table goes to a buffer, so that only module names reach stdout.
+        code = (
+            "import io, sys, circomp.cli; sys.stdout = io.StringIO(); "
+            "circomp.cli.main(['table', '3', '--format', 'json']); sys.stdout = sys.__stdout__"
+        )
+        added = loaded(code) - loaded("pass")
+        assert "circomp.cli" in added
+        assert [m for m in added if m == "json" or m.startswith("json.")] == []
+
     def test_a_one_worker_verify_loads_no_pool(self):
         added = loaded("import circomp.verify; circomp.verify.run_suites(4)") - loaded("pass")
         assert "circomp.verify" in added
         guarded = ("concurrent.futures", "multiprocessing")
         assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
+
+    def test_text_table_streams_within_a_bounded_address_space(self):
+        # Streamed, `table 20000` needs about 40 MB of address space. Holding its
+        # rows, it needed about 115 MB, and exited 2 under this limit.
+        limit = 80 << 20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = child("-m", "circomp.cli", "table", "20000", preexec_fn=cap)
+        size, tail = 0, b""
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            size, tail = size + len(chunk), (tail + chunk)[-(1 << 16):]
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == b""
+        assert tail.splitlines()[-1].startswith(b"20000  ")
+        assert size == 421821090  # the header and 20000 rows, each padded to its widths
 
     def test_import_loads_no_dataclasses(self):
         # -S skips the host's site hooks, which may import dataclasses themselves.

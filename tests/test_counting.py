@@ -26,9 +26,11 @@ from circomp.counting import (
     moebius,
     _COUNT_MAX_N,
     _DECIMAL_FROM,
+    _TABLE_MAX_N,
     _TUPLES,
     _decimal_rows,
     _dense_blocks,
+    _last_rows,
     _printed_count,
 )
 from circomp.verify import _set_of_mask
@@ -415,6 +417,11 @@ def outcome(call):
         return str(exc)
 
 
+def spelled(row):
+    """A table row as the cells `table` prints."""
+    return tuple(map(str, row))
+
+
 def decimal_doubling():
     """A power-of-two builder over exact Decimals, each 2^k the double of 2^(k-1)."""
     powers = [decimal.Decimal(1)]
@@ -467,6 +474,30 @@ class TestDecimalRoute:
             row = dict(zip(CountRow._fields, row))
             counts = [v for k, v in row.items() if k != "n"]
             assert type(row["n"]) is int and {type(v) for v in counts} == {decimal.Decimal}
+
+    def test_the_last_two_rows_hold_every_widest_cell(self):
+        # The rule text `table` sizes its columns by, at every order it prints, and
+        # the two-row route at 4999, 5000 and the two highest orders.
+        sampled = {4999, 5000, _TABLE_MAX_N - 1, _TABLE_MAX_N}
+        widest = previous = [0] * len(CountRow._fields)
+        exceptions, kept = [], {}
+        for row in _decimal_rows(_TABLE_MAX_N):
+            n = row[0]
+            digits = [len(str(n))] + [count.adjusted() + 1 for count in row[1:]]
+            widest = list(map(max, widest, digits))
+            if widest != list(map(max, previous, digits)):
+                exceptions.append(n)
+            previous = digits
+            if n + 1 in sampled or n in sampled:
+                kept[n] = spelled(row)
+        assert exceptions == []
+        for n in sorted(sampled):
+            assert list(map(spelled, _last_rows(n))) == [kept[n - 1], kept[n]]
+
+    def test_the_last_rows_are_the_sieve_rows(self):
+        rows = list(map(spelled, _decimal_rows(300)))
+        for n in range(1, 301):
+            assert list(map(spelled, _last_rows(n))) == rows[max(0, n - 2):n]
 
     def test_int_rows_are_the_count_table(self):
         assert [CountRow(*row) for row in _decimal_rows(400)] == count_table(400)
