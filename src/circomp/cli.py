@@ -129,9 +129,16 @@ def handle_table(args: argparse.Namespace) -> int:
             lead = ", "
         print("]")
         return 0
-    # The last two rows hold every column's widest cell, so the others stream.
+    # count_row gives rows N - 1 and N, which hold every column's widest cell, so
+    # the sieve's rows stream: n, 2^(n-1) and 2^floor(n/2) never decrease;
+    # the prime count grows from n = 2, as the disconnected count stays below
+    # 2^(n/2); the aperiodic count stays within 2^(n/4+1) of 2^floor(n/2); and the
+    # disconnected count is below 2^(n/3+1) at an odd order, while at an even order
+    # it is led by the prime count of n/2, which grows. Tier-1 checks the rule at
+    # every order up to _TABLE_MAX_N.
     header = [col.replace("_", "-") for col in columns]
-    last = zip(*counting._last_rows(args.max_n))
+    orders = range(max(1, args.max_n - 1), args.max_n + 1)
+    last = zip(*(vars(counting.count_row(n)).values() for n in orders))
     widths = [max(len(name), *map(len, map(str, cells))) for name, cells in zip(header, last)]
     print("  ".join(map(str.rjust, header, widths)))
     for values in rows:

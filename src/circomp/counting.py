@@ -5,7 +5,8 @@ All counts are exact, so they stay correct far past the 64-bit range
 takes the builder of its powers of two as the keyword ``two``: by
 default two(k) is the Python integer 2^k, and `count` passes exact
 Decimals, which it prints in linear time. count_row sums ints by Moebius
-inversion; `table` reads Decimal rows from one divisor-sum sieve. The
+inversion; `table` reads Decimal rows from one divisor-sum sieve, and
+text `table` sizes its columns from count_row at its last two orders. The
 streaming enumerators generate every member of each counted family in a
 fixed bitmask order, giving the closed forms an independent exhaustive
 cross-check at small n.
@@ -407,36 +408,6 @@ def _decimal_rows(max_n: int) -> Iterator[tuple[Any, ...]]:
             yield n, compositions, prime, disconnected, palindromes, aperiodic
 
     return rows()
-
-
-def _last_rows(max_n: int) -> list[tuple[Any, ...]]:
-    """The last two rows of `table max_n`, or row 1 at max_n = 1, as the sieve yields them.
-
-    They hold the widest cell of every column, so text `table` sizes its
-    columns from them and streams the rest: n, 2^(n-1) and 2^floor(n/2)
-    never decrease; the prime count grows from n = 2, as the disconnected
-    count stays below 2^(n/2); the aperiodic count stays within
-    2^(n/4+1) of 2^floor(n/2); and the disconnected count is below
-    2^(n/3+1) at an odd order, while at an even order it is led by the
-    prime count of n/2, which grows. Tier-1 checks the rule at every
-    order up to _TABLE_MAX_N. Each count is the sieve's divisor sum,
-    pulled over the divisors of the two orders, which trial division
-    finds: no order is factorised. max_n is one the sieve accepts.
-    """
-    import decimal
-
-    orders = range(max(1, max_n - 1), max_n + 1)
-    divs = sorted({e for n in orders for d in range(1, math.isqrt(n) + 1) if n % d == 0
-                   for e in (d, n // d)})
-    prime, aperiodic = {}, {}
-    with _exact_decimals():
-        two = decimal.Decimal(2).__pow__
-        for i, m in enumerate(divs):
-            below = [d for d in divs[:i] if m % d == 0]
-            prime[m] = two(m - 1) - sum(map(prime.get, below))
-            aperiodic[m] = two(m // 2) - sum(map(aperiodic.get, below))
-        return [(n, two(n - 1), prime[n], two(n - 1) - prime[n], two(n // 2), aperiodic[n])
-                for n in orders]
 
 
 def _printed_count(n: int, family: str) -> Any:

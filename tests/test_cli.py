@@ -458,15 +458,23 @@ class TestTable:
         assert run_cli("table", str(max_n)) == (0, text, "")
 
     def test_rows_need_no_factorisation_and_no_count_row(self, monkeypatch):
-        json_text, text = int_table_bytes(300)
+        # The rows come from the sieve alone. Only text sizes its columns, from
+        # count_row at its last two orders, which factorises just those orders.
+        expected = {max_n: int_table_bytes(max_n) for max_n in (300, 1)}
+        calls = []
+        for name in ("count_row", "_factorize"):
+            def recorded(n, *, name=name, call=getattr(counting, name)):
+                calls.append((name, n))
+                return call(n)
 
-        def moebius_route(*args, **kwargs):
-            raise AssertionError("the table took the Moebius route")
-
-        monkeypatch.setattr(counting, "_factorize", moebius_route)
-        monkeypatch.setattr(counting, "count_row", moebius_route)
-        assert run_cli("table", "300", "--format", "json") == (0, json_text, "")
-        assert run_cli("table", "300") == (0, text, "")
+            monkeypatch.setattr(counting, name, recorded)
+        for max_n, (json_text, text) in expected.items():
+            assert run_cli("table", str(max_n), "--format", "json") == (0, json_text, "")
+            assert calls == []
+            assert run_cli("table", str(max_n)) == (0, text, "")
+            orders = range(max(1, max_n - 1), max_n + 1)
+            assert calls == [(name, n) for n in orders for name in ("count_row", "_factorize")]
+            calls.clear()
 
     def test_text_rows_reach_stdout_before_the_last_row_is_drawn(self, monkeypatch):
         sieve, printed = counting._decimal_rows, []

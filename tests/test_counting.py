@@ -30,7 +30,6 @@ from circomp.counting import (
     _TUPLES,
     _decimal_rows,
     _dense_blocks,
-    _last_rows,
     _printed_count,
 )
 from circomp.verify import _set_of_mask
@@ -475,9 +474,9 @@ class TestDecimalRoute:
             counts = [v for k, v in row.items() if k != "n"]
             assert type(row["n"]) is int and {type(v) for v in counts} == {decimal.Decimal}
 
-    def test_the_last_two_rows_hold_every_widest_cell(self):
+    def test_the_last_two_rows_hold_every_widest_cell(self, unlimited_int_str):
         # The rule text `table` sizes its columns by, at every order it prints, and
-        # the two-row route at 4999, 5000 and the two highest orders.
+        # count_row's rows as the sieve spells them at 4999, 5000 and the two highest.
         sampled = {4999, 5000, _TABLE_MAX_N - 1, _TABLE_MAX_N}
         widest = previous = [0] * len(CountRow._fields)
         exceptions, kept = [], {}
@@ -488,16 +487,11 @@ class TestDecimalRoute:
             if widest != list(map(max, previous, digits)):
                 exceptions.append(n)
             previous = digits
-            if n + 1 in sampled or n in sampled:
+            if n in sampled:
                 kept[n] = spelled(row)
         assert exceptions == []
         for n in sorted(sampled):
-            assert list(map(spelled, _last_rows(n))) == [kept[n - 1], kept[n]]
-
-    def test_the_last_rows_are_the_sieve_rows(self):
-        rows = list(map(spelled, _decimal_rows(300)))
-        for n in range(1, 301):
-            assert list(map(spelled, _last_rows(n))) == rows[max(0, n - 2):n]
+            assert spelled(vars(count_row(n)).values()) == kept[n]
 
     def test_int_rows_are_the_count_table(self):
         assert [CountRow(*row) for row in _decimal_rows(400)] == count_table(400)
