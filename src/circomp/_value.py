@@ -3,7 +3,7 @@
 It serves the four public value classes, ``Composition``,
 ``ConnectionSet``, ``CirculantDigraph`` and ``CountRow``. Internal
 records, such as ``counting._Family`` and ``verify.SuiteResult``, are
-``typing.NamedTuple`` classes instead.
+``collections.namedtuple`` classes instead.
 
 A value class names its fields in ``_fields`` and stores them in its own
 ``__init__`` once its checks pass: through each field's slot descriptor,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from operator import lt
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._value import Value
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator, Sequence, TextIO
+from collections.abc import Iterator, Sequence
+
+# Annotations are never evaluated (PEP 563), so the `TextIO` they name is not
+# imported: loading `typing` would add to the start of every command.
 
 from .compositions import parse_composition
 from .circulant import (
@@ -41,17 +44,18 @@ def handle_list(args: argparse.Namespace) -> int:
     blocks = _list_blocks(args.n, args.family.replace("-", "_"), json_rows)
     # Text is one line per member; JSON is the bytes of json.dumps(list),
     # whose "[" waits for the first block, so a failing order prints nothing.
+    # A block is written with one join, its rest after every piece; every
+    # block has a piece, so any(blocks) tells whether members remain.
     joiner = ", " if json_rows else ""
     lead, left, more = "[" if json_rows else "", args.limit, False
-    for block in blocks:
+    for pieces, rest in blocks:
         if left is not None:
-            if len(block) >= left:
-                more = not json_rows and (len(block) > left or any(blocks))
-                block = block[:left]
-            left -= len(block)
-        if block:
-            sys.stdout.write(lead + joiner.join(block))
-            lead = joiner
+            if len(pieces) >= left:
+                more = not json_rows and (len(pieces) > left or any(blocks))
+                pieces = pieces[:left]
+            left -= len(pieces)
+        sys.stdout.write(lead + (rest + joiner).join(pieces) + rest)
+        lead = joiner
         if left == 0:
             break
     if json_rows:
@@ -61,20 +65,23 @@ def handle_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _list_blocks(n: int, family: str, json_rows: bool) -> Iterator[list[str]]:
-    """The family's members at order n as text lines or JSON rows, in blocks.
+def _list_blocks(n: int, family: str, json_rows: bool) -> Iterator[tuple[Sequence[str], str]]:
+    """The family's members at order n as text lines or JSON rows, in blocks (pieces, rest).
 
     Every family's blocks are spelled by the two closures below, low
     for the numbers ahead of the block kernel's boundary and rest for
-    the others: the dense families one block per high half of the mask,
-    the palindromic ones whole, 2^10 to a block. handle_list stops
+    the others: the dense families one block per boundary class of the
+    mask's low bits, each member a piece + rest; the palindromic ones
+    whole, 2^10 members to a block with an empty rest. A piece is joined
+    from one cell per number, each spelled once here. handle_list stops
     reading at --limit, so at most one block past the cut is built.
     """
     sets = family.endswith("connection_sets")
     head, sep, end = ("[", ", ", "]") if json_rows else (f"{n}: " if sets else "", ",", "\n")
+    cells = [f"{x}{sep}" for x in range(counting._LOW_BITS + 1)]  # low's numbers are at most 10
 
     def low(nums: tuple[int, ...]) -> str:
-        return head + "".join(f"{x}{sep}" for x in nums)
+        return head + "".join([cells[x] for x in nums])
 
     def rest(nums: tuple[int, ...]) -> str:
         return sep.join(map(str, nums)) + end

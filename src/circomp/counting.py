@@ -9,15 +9,23 @@ inversion; `table` reads Decimal rows from one divisor-sum sieve, and
 text `table` sizes its columns from count_row at its last two orders. The
 streaming enumerators generate every member of each counted family in a
 fixed bitmask order, giving the closed forms an independent exhaustive
-cross-check at small n.
+cross-check at small n. They share one block kernel, whose block is a
+boundary class: pieces that share one rest, each member being piece +
+rest, so that `list` writes a class with one join and iter_family adds
+each piece to its rest.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import cache, partial
-from itertools import accumulate, chain, islice
-from typing import Any, Callable, Iterator, NamedTuple
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import add, itemgetter
+
+# Annotations are never evaluated (PEP 563), so the `Any` they name is not
+# imported: loading `typing` would add to the start of every command.
 
 from .compositions import Composition
 from .circulant import ConnectionSet
@@ -155,7 +163,12 @@ def _words(n: int, family: str) -> Iterator[tuple[int, ...]]:
     of iter_family, which wraps them. The order and family are checked
     at the call.
     """
-    return chain.from_iterable(_listed(n, family).blocks(n, family, _TUPLES))
+    return _members(_listed(n, family).blocks(n, family, _TUPLES))
+
+
+def _members(blocks: Iterator[tuple[Any, Any]]) -> Iterator[Any]:
+    """The members of the blocks in order: piece + rest for each piece of a block."""
+    return chain.from_iterable(map(add, pieces, repeat(rest)) for pieces, rest in blocks)
 
 
 def _listed(n: int, family: str) -> _Family:
@@ -178,35 +191,41 @@ _LOW_BITS = 10  # the kernel tabulates the low min(10, n - 1) bits of every mask
 _TUPLES = (tuple, tuple)
 
 
-def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
-    """The members of a dense family at order n, one block per high half of the mask.
+def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[tuple[Any, Any]]:
+    """The members of a dense family at order n as blocks (pieces, rest), one per boundary class.
 
     A mask of width n - 1 splits into its low k = min(10, n - 1) bits L
     and its high bits H (Knuth, TAOCP 4A, 7.2.1). L's elements run
     0 < ... < p_L, all at most k; H's run q_H < ... < n, closed by n.
-    The 2^k low pieces are spelled once per call, and each high half,
-    ascending, spells one rest per boundary p_L: p_L and H's elements
-    for a set, the gaps of p_L and H's run for a word. It yields its 2^k
-    items in ascending mask order as one block. prime_compositions
-    keeps the words of gcd 1: the gcd d of L's gaps divides p_L, so a
-    word's gcd is gcd(d, g) with g the gcd of H's run.
+    The 2^k low pieces are spelled once per call and grouped into their
+    boundary classes, the runs of one p_L: L = 0 for p = 0, and L in
+    [2^(p-1), 2^p) for p >= 1 (_classes). Each high half, ascending,
+    spells one rest per class: p_L and H's elements for a set, the gaps
+    of p_L and H's run for a word. It yields its k + 1 classes in
+    ascending mask order, each member being piece + rest.
+    prime_compositions keeps the words of gcd 1: the gcd d of L's gaps
+    divides p_L, so a word's gcd is gcd(d, g) with g the gcd of H's run.
+    g divides n, so the coprime classes are filtered once per distinct g
+    (_coprime_classes), and a class left empty is not yielded.
     """
     k = min(_LOW_BITS, n - 1)
     highs = range(1 << (n - 1 - k))  # an order too large to enumerate fails here, at the call
     sets = family == "connection_sets"
-    coprime = family == "prime_compositions"
-    table = _low_table(k, sets, spell)
+    classes = _classes(_low_table(k, sets, spell))
+    coprime = {} if family == "prime_compositions" else None
     spell_rest = spell[1]
 
-    def blocks() -> Iterator[list[Any]]:
+    def blocks() -> Iterator[tuple[Any, Any]]:
         for h in highs:
             run = _run(h, k + 1) + (n,)
-            rest = [spell_rest((p,) + run[:-1] if sets else _diffs((p,) + run)) for p in range(k + 1)]
-            if coprime:
+            kept = classes
+            if coprime is not None:
                 g = math.gcd(*run)
-                yield [low + rest[p] for low, p, d in table if math.gcd(d, g) == 1]
-            else:
-                yield [low + rest[p] for low, p, _ in table]
+                if g not in coprime:
+                    coprime[g] = _coprime_classes(classes, g)
+                kept = coprime[g]
+            for p, pieces, _ in kept:
+                yield pieces, spell_rest((p,) + run[:-1] if sets else _diffs((p,) + run))
 
     return blocks()
 
@@ -218,9 +237,10 @@ def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
     boundary: L's gaps for a word, L's elements but p_L for a set.
     Built by doubling: the masks below 2^e are those below 2^(e-1),
     then the same with bit e-1 set, which appends the element e, the
-    gap e - p_L and gcd(d, e - p_L) = gcd(d, e), as d divides p_L. The
-    pieces are spelled in one pass at the end. Tier-1 holds the table
-    to the per-mask decoding by _run and _diffs.
+    gap e - p_L and gcd(d, e - p_L) = gcd(d, e), as d divides p_L. So
+    the rows with bit e-1 set are the boundary class p = e. The pieces
+    are spelled in one pass at the end. Tier-1 holds the table to the
+    per-mask decoding by _run and _diffs.
     """
     nums, ps, ds = [()], [0], [0]
     for e in range(1, k + 1):
@@ -228,6 +248,30 @@ def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
         ds += [math.gcd(d, e) for d in ds]
         ps += [e] * len(ps)
     return list(zip(map(spell[0], nums), ps, ds))
+
+
+def _classes(table: list[tuple[Any, int, int]]) -> list[tuple[int, tuple, tuple]]:
+    """The low table's boundary classes in table order, each (p, pieces, gcds).
+
+    A class is a run of rows with one p, found by groupby in table
+    order, not by p's value, so every piece is spelled with its own
+    row's p even where the p column is wrong.
+    """
+    classes = []
+    for p, rows in groupby(table, itemgetter(1)):
+        pieces, _, ds = zip(*rows)
+        classes.append((p, pieces, ds))
+    return classes
+
+
+def _coprime_classes(classes: list[tuple[int, tuple, tuple]], g: int) -> list[tuple[int, tuple, tuple]]:
+    """The classes cut to their pieces of gcd d with gcd(d, g) = 1; an emptied class is dropped."""
+    kept = []
+    for p, pieces, ds in classes:
+        coprime = [math.gcd(d, g) == 1 for d in ds]
+        if any(coprime):
+            kept.append((p, tuple(compress(pieces, coprime)), tuple(compress(ds, coprime))))
+    return kept
 
 
 def _run(mask: int, first: int) -> tuple[int, ...]:
@@ -254,7 +298,7 @@ def _palindromes(n: int) -> Iterator[tuple[int, ...]]:
     n, mid is 2x - 1; for even n, 2x with the middle bit clear, then x, x
     with it set. The scan-and-filter route stays in verify as the oracle.
     """
-    words = chain.from_iterable(_dense_blocks((n + 1) // 2, "compositions", _TUPLES))
+    words = _members(_dense_blocks((n + 1) // 2, "compositions", _TUPLES))
     if n % 2:
         return (w[:0:-1] + (2 * w[0] - 1,) + w[1:] for w in words)
     return (
@@ -262,13 +306,14 @@ def _palindromes(n: int) -> Iterator[tuple[int, ...]]:
     )
 
 
-def _palindrome_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]:
-    """The members of a palindromic family at order n, each low(()) + rest(word), 2^10 to a block.
+def _palindrome_blocks(n: int, family: str, spell: tuple) -> Iterator[tuple[Any, Any]]:
+    """The members of a palindromic family at order n as blocks (members, empty rest), 2^10 to a block.
 
-    The words come from _palindromes(n); aperiodic_palindromes keeps
-    those of period n, and symmetric_connection_sets maps each word to
-    its prefix sums. An order too large to enumerate fails at the call,
-    in the kernel at order ceil(n/2).
+    Each member is spelled whole, low(()) + rest(word). The words come
+    from _palindromes(n); aperiodic_palindromes keeps those of period n,
+    and symmetric_connection_sets maps each word to its prefix sums. An
+    order too large to enumerate fails at the call, in the kernel at
+    order ceil(n/2).
     """
     items = _palindromes(n)
     if family == "aperiodic_palindromes":
@@ -277,13 +322,14 @@ def _palindrome_blocks(n: int, family: str, spell: tuple) -> Iterator[list[Any]]
         items = (tuple(accumulate(w[:-1], initial=0)) for w in items)
     head, rest = spell[0](()), spell[1]
     spelled = (head + rest(m) for m in items)
-    return iter(lambda: list(islice(spelled, 1 << _LOW_BITS)), [])
+    empty = head[:0]
+    return ((members, empty) for members in iter(lambda: list(islice(spelled, 1 << _LOW_BITS)), []))
 
 
-class _Family(NamedTuple):
-    count: Callable[..., Any] | None  # n, *, two -> the count; None: the family is listed only
-    blocks: Callable[[int, str, tuple], Iterator[list[Any]]] | None  # None: counted only
-    min_n: int  # smallest order the members are listed at
+# A listed family's blocks(n, family, spell) yields (pieces, rest) pairs, each
+# with at least one piece; count(n, *, two) gives the count. None marks a family
+# that is counted only or listed only. min_n is the smallest order listed.
+_Family = namedtuple("_Family", ("count", "blocks", "min_n"))
 
 
 # Every family by name. The order is public: the counted families give the

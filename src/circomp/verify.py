@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, islice, starmap, zip_longest
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counting
 from .compositions import Composition
@@ -36,16 +37,11 @@ PUBLISHED_72_CONNECTED = 23_611_832_414_004_545_432_040
 PUBLISHED_72_DISCONNECTED = 34_368_074_808
 
 
-class SuiteResult(NamedTuple):
-    """One suite's outcome."""
-
-    name: str
-    passed: bool
-    checked: int
-    ceiling: int  # the order a unit ran at; a merged suite's top order, failing or not
-    counterexample: str | None
-    detail: str | None
-    seconds: float
+# One suite's outcome. ceiling is the order a unit ran at, or a merged suite's
+# top order, failing or not; counterexample and detail are str or None.
+SuiteResult = namedtuple(
+    "SuiteResult", ("name", "passed", "checked", "ceiling", "counterexample", "detail", "seconds")
+)
 
 
 Checks = Iterator[tuple[int, str | None]]

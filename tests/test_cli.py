@@ -207,6 +207,26 @@ class TestDenseRendering:
         assert run_cli(*argv) == (0, rendered(family, n, fmt, limit), "")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("family", DENSE)
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 8, 9, 512, 513, 1026])
+    def test_limits_at_boundary_class_edges(self, family, fmt, n, limit):
+        # A high half's boundary classes hold 1, 1, 2, 4, ..., 512 of its 1024
+        # masks, so the cut falls at the end, the start or inside of one.
+        argv = ("list", family, str(n), "--format", fmt, "--limit", str(limit))
+        assert run_cli(*argv) == (0, rendered(family, n, fmt, limit), "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", [4, 6, 12])
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_prime_limits_at_the_last_member(self, n, fmt, short):
+        # With g > 1 the class p = 0 keeps no word, so "…truncated" must follow
+        # only members that are really left.
+        limit = counting.count_prime_compositions(n) - short
+        argv = ("list", "prime-compositions", str(n), "--format", fmt, "--limit", str(limit))
+        assert run_cli(*argv) == (0, rendered("prime-compositions", n, fmt, limit), "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("family", PALINDROMIC)
     @pytest.mark.parametrize("limit", [1023, 1024, 1025, 2048, 2049])
     def test_palindromic_limits_at_block_edges(self, family, fmt, limit):
@@ -612,6 +632,15 @@ class TestFreshProcess:
     def test_import_loads_no_dataclasses(self):
         # -S skips the host's site hooks, which may import dataclasses themselves.
         code = "import sys, circomp.cli, circomp.verify; print('dataclasses' in sys.modules)"
+        proc = child("-S", "-c", code, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out == "False\n"
+
+    def test_import_loads_no_typing(self):
+        # Annotations are never evaluated, and the records are collections.namedtuples.
+        # -S skips the host's site hooks, which may import typing themselves.
+        code = "import sys, circomp.cli, circomp.verify; print('typing' in sys.modules)"
         proc = child("-S", "-c", code, text=True)
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err

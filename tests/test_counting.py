@@ -335,10 +335,15 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 11, 12, 13, 15])
     def test_one_block_of_2_to_the_k_per_high_half(self, n):
+        # A high half's 2^k members come as k + 1 blocks, its boundary classes:
+        # class p holds the low halves whose top element is p, 1 for p = 0 and
+        # 2^(p-1) for p >= 1.
         k = min(10, n - 1)
+        classes = [1] + [1 << (p - 1) for p in range(1, k + 1)]
+        assert sum(classes) == 1 << k
         for family in ("compositions", "connection_sets"):
-            sizes = [len(block) for block in _dense_blocks(n, family, _TUPLES)]
-            assert sizes == [1 << k] * (1 << (n - 1 - k))
+            sizes = [len(pieces) for pieces, _ in _dense_blocks(n, family, _TUPLES)]
+            assert sizes == classes * (1 << (n - 1 - k))
 
     @pytest.mark.parametrize("sets", [False, True])
     @pytest.mark.parametrize("k", range(11))

@@ -60,6 +60,32 @@ def gcd_column_seeded_with_1(k, sets, spell):
     return [(low, p, 1) for low, p, _ in LOW_TABLE(k, sets, spell)]
 
 
+CLASSES = counting._classes
+
+
+def classes_with_the_previous_rest(table):
+    """Deliberately broken grouping: each boundary class but the first is spelled with the previous class's rest."""
+    classes = CLASSES(table)
+    return [(classes[i - 1][0] if i else p, pieces, ds) for i, (p, pieces, ds) in enumerate(classes)]
+
+
+COPRIME_CLASSES = counting._coprime_classes
+
+
+def coprime_classes_of_the_first_g():
+    """Deliberately broken filter: every high half keeps the coprime classes of its stream's first high half.
+
+    The first high half's g is n, so the high halves past it, which exist
+    from n = 12 up, drop the words whose low gcd shares a factor with n.
+    """
+    firsts = {}  # id(classes) -> (classes, first g); holding classes keeps its id unique
+
+    def mutant(classes, g):
+        return COPRIME_CLASSES(classes, firsts.setdefault(id(classes), (classes, g))[1])
+
+    return mutant
+
+
 WORDS = counting._words
 
 
@@ -227,6 +253,16 @@ class TestFaultInjection:
         result = verify._run_order("bijection", verify._palindrome_bijection, n)
         assert result.passed
         assert result.checked == 2 * counting.count_aperiodic_palindromes(n)
+
+    def test_coprime_classes_kept_from_the_first_high_half_fail_the_scaling_bijection(self, monkeypatch):
+        # Only from n = 12 is there a second high half, whose g (here 1) is not n.
+        # The prime stream of 12 then drops 11,1, whose low half is empty, so d = 0.
+        monkeypatch.setattr(counting, "_coprime_classes", coprime_classes_of_the_first_g())
+        assert ranged("common-factor scaling bijection", 1, 11).passed
+        result = ranged("common-factor scaling bijection", 1, 16)
+        assert not result.passed
+        assert result.checked == 3072  # 2^0 + ... + 2^10 words, then the first 1025 of n = 12
+        assert result.counterexample == "n=12, d=1: word 11,1 maps to 11,1, not 1,10,1"
 
     def test_a_missing_gcd_class_fails_the_scaling_bijection(self, monkeypatch):
         monkeypatch.setattr(counting, "_words", without_word_7)
@@ -450,6 +486,7 @@ MUTANTS = {
     "symmetric scan's end test inverted": (verify, "_symmetric_generators", end_test_inverted),
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
     "gcd column seeded with 1": (counting, "_low_table", gcd_column_seeded_with_1),
+    "boundary classes spelled with the previous rest": (counting, "_classes", classes_with_the_previous_rest),
     "prime stream lists the disconnected words": (counting, "_words", prime_stream_disconnected),
     "disconnected count off by one": (
         verify, "count_disconnected_compositions", lambda n: counting.count_disconnected_compositions(n) + 1
@@ -493,13 +530,17 @@ class TestMutantMatrix:
             "last composition dropped",
         ):
             assert kills[mutant][count], mutant
+        # A boundary class spelled with the wrong rest puts wrong words in every
+        # dense stream, which the count and round-trip suites compare mask by mask.
+        rounds = names.index("gap-word round trips")
+        assert kills["boundary classes spelled with the previous rest"][count]
+        assert kills["boundary classes spelled with the previous rest"][rounds]
         # The count, round-trip and part-count suites all read the successor
         # walk, so each catches a walk that stops short.
         for suite in ("count formulas vs enumeration", "gap-word round trips", "part-count refinement"):
             assert kills["successor walk one word short"][names.index(suite)], suite
         # A wrong odd step keeps every part count, so the part-count tally misses it;
         # the count and round-trip suites compare the walk word by word.
-        rounds = names.index("gap-word round trips")
         assert kills["walk's odd step reversed at mask 5"] == [i in (rounds, count) for i in range(len(names))]
         # The symmetry suite counts the symmetric sets, so it catches a wrong palindrome count,
         # and compares them with the symmetric-set stream, so it catches that stream's order.
