@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import chain, islice, starmap, zip_longest
+from itertools import chain, islice, repeat, starmap, zip_longest
+from operator import add
 
 from . import counting
 from .compositions import Composition
@@ -80,8 +81,9 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
     (t + 1, g - 1) followed by the same rest. Every even m has t = 0, so
     its step, (1, g - 1) and the rest, is taken without finding t. Uses
     no bit loop over the mask, so it is a route independent of the
-    kernel and of the per-mask decoding: the round-trip, count and
-    part-count suites all enumerate the compositions of n through it.
+    kernel and of the per-mask decoding. It is the base of
+    `_successor_chunks`, the route through which the round-trip, count
+    and part-count suites enumerate the compositions of n.
     """
     word = (n,)
     # Each pass steps from the even mask m - 1 to m, then from m to m + 1.
@@ -94,6 +96,45 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
     yield word
     if n > 1:
         yield (1, word[0] - 1) + word[1:]  # the last mask, 2^(n-1) - 1, is odd
+
+
+# Words of the successor walk per chunk, and kernel words the count suite
+# compares with one chunk at a time. At 2^10, the `verify --max-n 19`
+# process peaked 0.5 MB higher, and ran no faster.
+_CHUNK = 1 << 8
+
+
+def _successor_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """The successor walk's words in lists of _CHUNK = 2^8, chunk j starting at mask j * 2^8.
+
+    Up to n = 9 the walk is one chunk. Past it, let chunk j's first word,
+    of mask j * 2^8, be (a,) + R. The low 8 bits of a mask spell the
+    first parts of its word, so the word of mask j * 2^8 + r is the word
+    of r at order 9 with a - 9 added to its last part, then R. For r of
+    top bit p - 1 that last part is 9 - p, so the words of all such r
+    are their order-9 words without the last part, each followed by
+    (a - p,) + R: one map per top bit. The next chunk's first word comes
+    from this chunk's last one by the walk's carry step. The low words
+    come only from `_successor_words`, so the route stays independent of
+    the kernel, and no step loops over the bits of a mask.
+    """
+    low = _CHUNK.bit_length()  # 9: the order whose 2^8 words spell a chunk's low bits
+    if n <= low:
+        yield list(_successor_words(n))
+        return
+    words = _successor_words(low)
+    next(words)  # mask 0's word: each chunk's first word takes its place
+    heads = [[w[:-1] for w in islice(words, 1 << (p - 1))] for p in range(1, low)]
+    word = (n,)
+    for m in range(_CHUNK - 1, 1 << (n - 1), _CHUNK):  # m: the chunk's last mask
+        a, rest = word[0], word[1:]
+        chunk = [word]
+        for p, top in enumerate(heads, 1):
+            chunk += map(add, top, repeat((a - p,) + rest))
+        yield chunk
+        t = (m ^ (m + 1)).bit_length() - 1
+        last = chunk[-1]
+        word = (t + 1, last[t] - 1) + last[t + 1 :]
 
 
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
@@ -116,11 +157,6 @@ def _spelled(word: tuple[int, ...] | None) -> str:
     return "None" if word is None else ",".join(map(str, word))
 
 
-# Kernel words the count suite compares with the walk at a time. At 2^10, the
-# `verify --max-n 19` process peaked 0.5 MB higher, and ran no faster.
-_CHUNK = 1 << 8
-
-
 def _round_trips(n: int) -> Checks:
     """Gap word and prefix-sum set invert each other, preserving part counts.
 
@@ -132,7 +168,8 @@ def _round_trips(n: int) -> Checks:
     mask. A stream that runs short or past the masks fails where it does.
     """
     masks = range(count_compositions(n))
-    for m, s, w in zip_longest(masks, iter_family(n, "connection_sets"), _successor_words(n)):
+    walk = chain.from_iterable(_successor_chunks(n))
+    for m, s, w in zip_longest(masks, iter_family(n, "connection_sets"), walk):
         want = None if m is None else _set_of_mask(n, m)
         if s != want:
             yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
@@ -230,21 +267,21 @@ def _palindrome_bijection(n: int) -> Checks:
 def _count_oracles(n: int) -> Checks:
     """Closed-form counts equal the lengths of the enumerated families.
 
-    The kernel's composition tuples must equal the successor walk's
-    words, compared a chunk at a time by list equality; only a chunk
-    that differs is searched for its first stray mask. A stream that
-    ends early or runs past the walk leaves an unequal chunk, so it
-    fails too. The coprime words and the palindromes are tallied on the
+    The kernel's composition tuples, read _CHUNK at a time, must equal
+    the successor walk's chunks by list equality; only a chunk that
+    differs is searched for its first stray mask. A stream that ends
+    early or runs past the walk leaves an unequal chunk, so it fails
+    too. The coprime words and the palindromes are tallied on the
     tuples, and the palindromes the scan finds must reproduce the
     palindrome stream item for item; a word whose ends differ is no
     palindrome, so it is dropped before it is reversed.
     """
     prime = 0
     scanned_pals: list[tuple[int, ...]] = []
-    words, walk = counting._words(n, "compositions"), _successor_words(n)
+    words, walk = counting._words(n, "compositions"), _successor_chunks(n)
     # One chunk past the last mask, so that a stream running past the walk is read.
     for start in range(0, count_compositions(n) + 1, _CHUNK):
-        chunk, want = list(islice(words, _CHUNK)), list(islice(walk, _CHUNK))
+        chunk, want = list(islice(words, _CHUNK)), next(walk, [])
         if chunk != want:
             i, c, w = next((i, c, w) for i, (c, w) in enumerate(zip_longest(chunk, want)) if c != w)
             m = start + i if start + i < count_compositions(n) else None  # None: past the last mask
@@ -283,9 +320,7 @@ def _moebius_inversion(n: int) -> Checks:
 
 def _part_refinement(n: int) -> Checks:
     """Binomial part counts match tallies over the successor walk and sum to 2^(n-1)."""
-    tally: dict[int, int] = {}
-    for parts in _successor_words(n):
-        tally[len(parts)] = tally.get(len(parts), 0) + 1
+    tally = Counter(map(len, chain.from_iterable(_successor_chunks(n))))
     yield sum(tally.values()), None
     for k in range(1, n + 1):
         if tally.get(k, 0) != count_compositions_with_parts(n, k):

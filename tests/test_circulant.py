@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from circomp.circulant import (
     is_connected_by_gcd,
     parse_connection_set,
 )
+from circomp.counting import count_aperiodic_palindromes
 from references import all_sets, arc_rule, edge_rule, many_step_sets, negated
 
 
@@ -237,6 +239,20 @@ class TestConnectivity:
         for s in all_sets(n):
             g = build_digraph(s)
             assert g.is_connected() == g.is_strongly_connected()
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_circulant_graphs_and_their_connected_count_match_networkx(self, n):
+        # A third-party build of each undirected circulant graph, from the steps
+        # a <= n/2 of its symmetric set; the connected ones are the paper's
+        # corollary, counted by the aperiodic palindromes.
+        connected = 0
+        for s in filter(ConnectionSet.is_symmetric, all_sets(n)):
+            oracle = nx.circulant_graph(n, [a for a in s.elements[1:] if 2 * a <= n])
+            assert set(map(frozenset, oracle.edges())) == set(map(frozenset, build_graph(s).edges())), s
+            connected += nx.is_connected(oracle)
+        assert connected == count_aperiodic_palindromes(n)
 
 
 class TestText:

@@ -2,7 +2,7 @@ import decimal
 import json
 import math
 import sys
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 
 import pytest
 import sympy
@@ -528,6 +528,31 @@ class TestDecimalRoute:
         assert len(digits) == math.floor((n - 1) * math.log10(2)) + 1
         assert int(digits[-40:]) == pow(2, n - 1, 10**40)
         assert str(_printed_count(n, "palindromes")) == str(_printed_count(n // 2 + 1, "compositions"))
+
+    @pytest.mark.parametrize("n", [10**6, 10**7])
+    def test_large_printed_counts_agree_with_the_moebius_sum_modulo_a_prime(self, n):
+        # Orders the int route is too slow to compare at. Each count is reduced
+        # modulo P = 2^61 - 1 and compared with the Moebius sum of pow(2, ., P)
+        # over the primes of n found here by trial division, not by _factorize.
+        P = 2**61 - 1
+        primes, rest, p = [], n, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        primes += [rest] if rest > 1 else []
+        terms = [
+            (n // math.prod(ps), (-1) ** k) for k in range(len(primes) + 1) for ps in combinations(primes, k)
+        ]
+        want = {
+            "prime_compositions": sum(mu * pow(2, d - 1, P) for d, mu in terms) % P,
+            "aperiodic_palindromes": sum(mu * pow(2, d // 2, P) for d, mu in terms) % P,
+        }
+        with counting._exact_decimals():
+            got = {family: int(_printed_count(n, family) % P) for family in want}
+        assert got == want
 
     def test_small_orders_answer_and_fail_like_the_int_counts(self):
         for family in COUNTED:

@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -128,6 +129,28 @@ def odd_step_reversed_at_mask_5(n):
     if len(words) > 5:
         words[5] = words[5][1::-1] + words[5][2:]
     return iter(words)
+
+
+SUCCESSOR_CHUNKS = verify._successor_chunks
+
+
+def walk_chunks_one_word_short(n):
+    """Deliberately broken route: every chunk of the successor walk drops its last word."""
+    return (chunk[:-1] for chunk in SUCCESSOR_CHUNKS(n))
+
+
+def carry_into_chunk_2_one_low(n):
+    """Deliberately broken route: the word carried into chunk 2 gives its first part's last unit to the next part.
+
+    Each word of a chunk is a low head, then the carried word with its
+    first part lowered, so the fault moves one unit at the same place in
+    every word of chunk 2: at n = 11, mask 512's word 10,1 becomes 9,2.
+    """
+    for j, chunk in enumerate(SUCCESSOR_CHUNKS(n)):
+        if j == 2:
+            moved = lambda w, i: w[:i] + (w[i] - 1, w[i + 1] + 1) + w[i + 2 :]
+            chunk = [moved(w, len(w) - len(chunk[0])) for w in chunk]
+        yield chunk
 
 
 def factorize_skipping_5(n):
@@ -299,6 +322,11 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "n,fault,mask,got,want",
         [
+            # The 8 words of n = 4 are one partial chunk, and the 2^8 of n = 9 one full chunk.
+            (4, lambda w: w + [(4,)], None, "4", "None"),
+            (4, lambda w: w[:-1], 7, "None", "1,1,1,1"),
+            (9, lambda w: w + [(9,)], None, "9", "None"),
+            (9, lambda w: w[:-1], 255, "None", ",".join(["1"] * 9)),
             # The 2^10 words of n = 11 and 2^11 of n = 12 fill whole chunks, with no word over.
             (11, lambda w: w + [(11,)], None, "11", "None"),
             (12, lambda w: w + [(12,)], None, "12", "None"),
@@ -340,6 +368,21 @@ class TestFaultInjection:
             "part-count refinement": (0, "n=1, k=1"),
         }
         assert {r.name: (r.checked, r.counterexample) for r in results.values() if not r.passed} == want
+
+    def test_a_carry_into_chunk_2_one_low_fails_at_its_first_mask(self, monkeypatch):
+        # The first carry between chunks runs at n = 10, past the matrix's max_n = 9,
+        # and n = 11 is the first order with a chunk 2. Both suites name mask 512:
+        # the count suite after the words of n = 1..10, the round trips after two
+        # checks for each of those words and for each of masks 0..512 of n = 11.
+        monkeypatch.setattr(verify, "_successor_chunks", carry_into_chunk_2_one_low)
+        result = ranged("count formulas vs enumeration", 1, 12)
+        assert (result.checked, result.counterexample) == (
+            2**10 - 1, "n=11, mask 512: the kernel gives 10,1, the mask route 9,2"
+        )
+        result = ranged("gap-word round trips", 1, 12)
+        assert (result.checked, result.counterexample) == (
+            2 * (2**10 - 1) + 2 * 513, "n=11, mask 512: the gap word is 10,1, the walk 9,2"
+        )
 
     @pytest.mark.parametrize(
         "fault,checks,counterexample",
@@ -482,6 +525,7 @@ MUTANTS = {
     "last composition dropped": (counting, "_words", last_composition_dropped),
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
     "walk's odd step reversed at mask 5": (verify, "_successor_words", odd_step_reversed_at_mask_5),
+    "walk chunks one word short": (verify, "_successor_chunks", walk_chunks_one_word_short),
     "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
     "symmetric scan's end test inverted": (verify, "_symmetric_generators", end_test_inverted),
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
@@ -536,9 +580,10 @@ class TestMutantMatrix:
         assert kills["boundary classes spelled with the previous rest"][count]
         assert kills["boundary classes spelled with the previous rest"][rounds]
         # The count, round-trip and part-count suites all read the successor
-        # walk, so each catches a walk that stops short.
-        for suite in ("count formulas vs enumeration", "gap-word round trips", "part-count refinement"):
-            assert kills["successor walk one word short"][names.index(suite)], suite
+        # walk's chunks, so each catches a walk, or a chunk, that stops short.
+        for mutant in ("successor walk one word short", "walk chunks one word short"):
+            for suite in ("count formulas vs enumeration", "gap-word round trips", "part-count refinement"):
+                assert kills[mutant][names.index(suite)], (mutant, suite)
         # A wrong odd step keeps every part count, so the part-count tally misses it;
         # the count and round-trip suites compare the walk word by word.
         assert kills["walk's odd step reversed at mask 5"] == [i in (rounds, count) for i in range(len(names))]
@@ -704,6 +749,21 @@ class TestUnits:
     def test_successor_walk_equals_the_per_mask_route(self, n):
         want = [gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
         assert list(verify._successor_words(n)) == want
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_successor_chunks_cut_the_per_mask_route_every_2_to_the_8_masks(self, n):
+        chunks = list(verify._successor_chunks(n))
+        want = [gaps_of_mask(n, m) for m in range(2 ** (n - 1))]
+        assert list(chain.from_iterable(chunks)) == want
+        # 2^(n-1) is below 2^8 or a multiple of it, so no chunk is partial but the only one.
+        assert [len(chunk) for chunk in chunks] == [min(2**8, 2 ** (n - 1))] * len(chunks)
+        assert [chunk[0] for chunk in chunks] == [gaps_of_mask(n, j * 2**8) for j in range(len(chunks))]
+
+    def test_successor_chunks_read_nothing_of_the_kernel(self, monkeypatch):
+        # The route is the kernel's oracle, so it must not reach the kernel.
+        for name in ("_words", "_dense_blocks", "_low_table", "_classes", "_run", "_diffs", "_members"):
+            monkeypatch.setattr(counting, name, None)
+        assert sum(map(len, verify._successor_chunks(16))) == 2**15
 
 
 class TestImageMismatch:
