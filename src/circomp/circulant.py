@@ -47,8 +47,10 @@ class ConnectionSet(Value):
     def _unchecked(cls, modulus: int, elements: tuple[int, ...]) -> ConnectionSet:
         """Wrap a canonical element tuple that is valid by construction.
 
-        Skips the checks of ``__init__``; only the enumerators use it, on
-        sets they build themselves. The public constructor always validates.
+        Skips the checks of ``__init__``; the enumerators use it on sets
+        they build themselves, and verify on the tuples of its own mask
+        route, so that one it finds malformed still prints as a set. The
+        public constructor always validates.
         """
         self = object.__new__(cls)
         _set_modulus(self, modulus)

@@ -140,7 +140,8 @@ def _successor_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
     """The connection set {0} | {i+1 : bit i of mask set} over Z_n, validated.
 
-    The round trips' per-mask oracle for the block kernel.
+    The per-mask rule, one bit at a time: `_mask_chunks` decodes every
+    mask's low and high bits by it, and tests/references.py reads it.
     """
     elems = [0]
     pos = 1
@@ -152,6 +153,22 @@ def _set_of_mask(n: int, mask: int) -> ConnectionSet:
     return ConnectionSet(n, tuple(elems))
 
 
+def _mask_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """The element tuples of `_set_of_mask` in lists of _CHUNK = 2^8, chunk j starting at mask j * 2^8.
+
+    Bits 0..7 of a mask spell its elements 1..8 and the higher bits its
+    elements from 9 up, so the tuple of mask j * 2^8 + r is the tuple of
+    r followed by the nonzero elements of j * 2^8. The bit loop decodes
+    each low pattern r once per call and each chunk's high bits once per
+    chunk; a chunk is then one map over the low tuples. The route reads
+    nothing of the kernel, so it is the round trips' oracle for it.
+    """
+    total = 1 << (n - 1)
+    low = [_set_of_mask(n, r).elements for r in range(min(_CHUNK, total))]
+    for start in range(0, total, _CHUNK):
+        yield list(map(add, low, repeat(_set_of_mask(n, start).elements[1:])))
+
+
 def _spelled(word: tuple[int, ...] | None) -> str:
     """A raw word as its Composition prints; None where a stream ran out."""
     return "None" if word is None else ",".join(map(str, word))
@@ -160,25 +177,47 @@ def _spelled(word: tuple[int, ...] | None) -> str:
 def _round_trips(n: int) -> Checks:
     """Gap word and prefix-sum set invert each other, preserving part counts.
 
-    One pass zips three streams: the masks, the block kernel's sets and
-    the successor walk's words. Each set must equal the per-mask route's,
-    come back from its gap word with n and its size kept, and that gap
-    word must be the walk's word at the same mask. The last two imply
-    that every walk word round-trips too, so the word is built once per
-    mask. A stream that runs short or past the masks fails where it does.
+    Three streams are read in lockstep, _CHUNK masks at a time: the
+    block kernel's sets, the mask route's element tuples and the
+    successor walk's words. Each set must equal the mask route's, come
+    back from its gap word with n and its size kept, and that gap word
+    must be the walk's word at the same mask. The last two imply that
+    every walk word round-trips too, so the word is built once per mask.
+    A chunk passes at once when all of that holds for every mask in it,
+    the sets compared with the mask route before any gap word is built.
+    A chunk that differs anywhere is replayed mask by mask, so a stream
+    that strays, runs short or runs past the masks fails where it does.
     """
-    masks = range(count_compositions(n))
+    total = count_compositions(n)
+    sets = iter_family(n, "connection_sets")
+    route = chain.from_iterable(_mask_chunks(n))
     walk = chain.from_iterable(_successor_chunks(n))
-    for m, s, w in zip_longest(masks, iter_family(n, "connection_sets"), walk):
-        want = None if m is None else _set_of_mask(n, m)
-        if s != want:
-            yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
-        if s is None:
-            yield 0, f"n={n}, mask None: the walk gives {_spelled(w)} past the last mask"
-        c = gap_composition(s)
-        bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
-        yield 1, f"n={n}, set {s}" if bad else None
-        yield 1, None if c.parts == w else f"n={n}, mask {m}: the gap word is {c}, the walk {_spelled(w)}"
+    # One chunk past the last mask, so that a stream running past the masks is read.
+    for start in range(0, total + 1, _CHUNK):
+        chunk, tuples, words = (list(islice(stream, _CHUNK)) for stream in (sets, route, walk))
+        if all(s.modulus == n for s in chunk) and [s.elements for s in chunk] == tuples:
+            comps = list(map(gap_composition, chunk))
+            parts = [c.parts for c in comps]
+            if (
+                parts == words
+                and list(map(sum, parts)) == [n] * len(parts)
+                and list(map(len, parts)) == list(map(len, tuples))
+                and list(map(prefix_sum_set, comps)) == chunk
+            ):
+                yield 2 * len(chunk), None
+                continue
+        masks = range(start, min(start + _CHUNK, total))
+        for m, s, t, w in zip_longest(masks, chunk, tuples, words):
+            # Unvalidated, so that a malformed route tuple is named at its mask.
+            want = None if t is None else ConnectionSet._unchecked(n, t)
+            if s != want:
+                yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
+            if s is None:
+                yield 0, f"n={n}, mask None: the walk gives {_spelled(w)} past the last mask"
+            c = gap_composition(s)
+            bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
+            yield 1, f"n={n}, set {s}" if bad else None
+            yield 1, None if c.parts == w else f"n={n}, mask {m}: the gap word is {c}, the walk {_spelled(w)}"
 
 
 def _gcd_preservation(n: int) -> Checks:

@@ -564,12 +564,30 @@ def child(*args, **kwargs):
     )
 
 
-def loaded(code):
-    """The modules a fresh process holds after running code."""
-    proc = child("-c", f"{code}; import sys; print(*sys.modules)", text=True)
+def loaded(argv):
+    """The modules a fresh `python -S` process holds after `circomp.cli.main(argv)` exits 0.
+
+    An empty argv only imports circomp.cli. The command writes to a buffer,
+    so that only module names reach stdout.
+    -S skips the host's site hooks, which may import typing or dataclasses themselves.
+    """
+    main = f"sys.stdout = io.StringIO(); code = circomp.cli.main({list(argv)}); sys.stdout = sys.__stdout__"
+    source = f"import io, sys, circomp.cli; {main if argv else 'code = 0'}; print(*sys.modules); sys.exit(code)"
+    proc = child("-S", "-c", source, text=True)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     return set(out.split())
+
+
+# Per command, a module it must load and the modules it must not load, each with its
+# submodules: the suites and the pool wait for verify, and the pool for a second worker;
+# `table` spells its JSON by hand. No command loads dataclasses or typing either: the
+# values are `_value.Value`s, the records namedtuples, and no annotation is evaluated.
+START_UP = [
+    ((), "circomp.cli", ("circomp.verify", "concurrent.futures", "multiprocessing", "json")),
+    (("table", "3", "--format", "json"), "circomp.cli", ("json",)),
+    (("verify", "--max-n", "4", "--workers", "1"), "circomp.verify", ("concurrent.futures", "multiprocessing")),
+]
 
 
 class TestFreshProcess:
@@ -589,27 +607,12 @@ class TestFreshProcess:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
-    def test_import_loads_no_suites_pool_or_json(self):
-        added = loaded("import circomp.cli") - loaded("pass")
-        assert "circomp.cli" in added
-        guarded = ("circomp.verify", "concurrent.futures", "multiprocessing", "json")
-        assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
-
-    def test_a_json_table_loads_no_json(self):
-        # The table goes to a buffer, so that only module names reach stdout.
-        code = (
-            "import io, sys, circomp.cli; sys.stdout = io.StringIO(); "
-            "circomp.cli.main(['table', '3', '--format', 'json']); sys.stdout = sys.__stdout__"
-        )
-        added = loaded(code) - loaded("pass")
-        assert "circomp.cli" in added
-        assert [m for m in added if m == "json" or m.startswith("json.")] == []
-
-    def test_a_one_worker_verify_loads_no_pool(self):
-        added = loaded("import circomp.verify; circomp.verify.run_suites(4)") - loaded("pass")
-        assert "circomp.verify" in added
-        guarded = ("concurrent.futures", "multiprocessing")
-        assert [m for m in added for g in guarded if m == g or m.startswith(g + ".")] == []
+    @pytest.mark.parametrize("argv,loads,forbidden", START_UP, ids=[" ".join(a) or "import" for a, *_ in START_UP])
+    def test_a_command_loads_none_of_its_forbidden_modules(self, argv, loads, forbidden):
+        modules = loaded(argv)
+        assert loads in modules
+        forbidden += ("dataclasses", "typing")
+        assert [m for m in modules for f in forbidden if m == f or m.startswith(f + ".")] == []
 
     def test_text_table_streams_within_a_bounded_address_space(self):
         # Streamed, `table 20000` needs about 40 MB of address space. Holding its
@@ -628,23 +631,6 @@ class TestFreshProcess:
         assert err == b""
         assert tail.splitlines()[-1].startswith(b"20000  ")
         assert size == 421821090  # the header and 20000 rows, each padded to its widths
-
-    def test_import_loads_no_dataclasses(self):
-        # -S skips the host's site hooks, which may import dataclasses themselves.
-        code = "import sys, circomp.cli, circomp.verify; print('dataclasses' in sys.modules)"
-        proc = child("-S", "-c", code, text=True)
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0, err
-        assert out == "False\n"
-
-    def test_import_loads_no_typing(self):
-        # Annotations are never evaluated, and the records are collections.namedtuples.
-        # -S skips the host's site hooks, which may import typing themselves.
-        code = "import sys, circomp.cli, circomp.verify; print('typing' in sys.modules)"
-        proc = child("-S", "-c", code, text=True)
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0, err
-        assert out == "False\n"
 
     def test_verify_still_loads_its_suites(self):
         proc = child("-m", "circomp.cli", "verify", "--max-n", "4", text=True)

@@ -153,6 +153,23 @@ def carry_into_chunk_2_one_low(n):
         yield chunk
 
 
+MASK_CHUNKS = verify._mask_chunks
+
+
+def low_bits_one_place_high(n):
+    """Deliberately broken route: mask bits 0..7 spell the elements 2..9, not 1..8."""
+    return ([tuple(e + (0 < e <= 8) for e in t) for t in chunk] for chunk in MASK_CHUNKS(n))
+
+
+def high_elements_one_too_high(n):
+    """Deliberately broken route: every chunk past the first spells its high elements one too high.
+
+    Chunk 1 first exists at n = 10, where mask 256's tuple 0,9 becomes 0,10.
+    """
+    for j, chunk in enumerate(MASK_CHUNKS(n)):
+        yield chunk if j == 0 else [t[:1] + tuple(e + (e > 8) for e in t[1:]) for t in chunk]
+
+
 def factorize_skipping_5(n):
     """Deliberately broken trial division: after 3 it steps by 3, so 5, 7, 11, ... are never tried."""
     factors = {}
@@ -384,6 +401,31 @@ class TestFaultInjection:
             2 * (2**10 - 1) + 2 * 513, "n=11, mask 512: the gap word is 10,1, the walk 9,2"
         )
 
+    def test_high_elements_one_too_high_fail_the_round_trips_at_mask_256(self, monkeypatch):
+        # The mask route's first chunk with high bits is chunk 1 of n = 10, past the
+        # matrix's max_n = 9: two checks for each mask of n = 1..9, then for masks 0..255.
+        monkeypatch.setattr(verify, "_mask_chunks", high_elements_one_too_high)
+        result = ranged("gap-word round trips", 1, 14)
+        assert (result.checked, result.counterexample) == (
+            2 * (2**9 - 1) + 2 * 256, "n=10, mask 256: the kernel gives 10: 0,9, the mask route 10: 0,10"
+        )
+
+    def test_a_swap_in_a_later_chunk_fails_the_round_trips_with_the_per_mask_message(self, monkeypatch):
+        # Masks 1030 and 1040 share chunk 4 of n = 12; the chunk is replayed mask by
+        # mask, so the masks before 1030 count two checks each, as in one pass.
+        def swapped(n, family):
+            sets = list(WORDS(n, family))
+            if n == 12:
+                sets[1030], sets[1040] = sets[1040], sets[1030]
+            return iter(sets)
+
+        monkeypatch.setattr(counting, "_words", swapped)
+        result = ranged("gap-word round trips", 1, 14)
+        stray, want = (verify._set_of_mask(12, m) for m in (1040, 1030))
+        assert (result.checked, result.counterexample) == (
+            2 * (2**11 - 1) + 2 * 1030, f"n=12, mask 1030: the kernel gives {stray}, the mask route {want}"
+        )
+
     @pytest.mark.parametrize(
         "fault,checks,counterexample",
         [
@@ -526,6 +568,7 @@ MUTANTS = {
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
     "walk's odd step reversed at mask 5": (verify, "_successor_words", odd_step_reversed_at_mask_5),
     "walk chunks one word short": (verify, "_successor_chunks", walk_chunks_one_word_short),
+    "mask chunks decode the low bits one place high": (verify, "_mask_chunks", low_bits_one_place_high),
     "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
     "symmetric scan's end test inverted": (verify, "_symmetric_generators", end_test_inverted),
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
@@ -584,6 +627,8 @@ class TestMutantMatrix:
         for mutant in ("successor walk one word short", "walk chunks one word short"):
             for suite in ("count formulas vs enumeration", "gap-word round trips", "part-count refinement"):
                 assert kills[mutant][names.index(suite)], (mutant, suite)
+        # Only the round trips read the mask route, so they alone catch its faults.
+        assert kills["mask chunks decode the low bits one place high"] == [i == rounds for i in range(len(names))]
         # A wrong odd step keeps every part count, so the part-count tally misses it;
         # the count and round-trip suites compare the walk word by word.
         assert kills["walk's odd step reversed at mask 5"] == [i in (rounds, count) for i in range(len(names))]
@@ -664,6 +709,10 @@ class ReversedPool:
     def map(self, fn, *iterables):
         calls = list(zip(*iterables))
         return reversed([fn(*args) for args in reversed(calls)])
+
+
+# The block kernel's functions in counting, which no oracle route may reach.
+KERNEL = ("_words", "_dense_blocks", "_low_table", "_classes", "_run", "_diffs", "_members")
 
 
 class TestUnits:
@@ -759,11 +808,24 @@ class TestUnits:
         assert [len(chunk) for chunk in chunks] == [min(2**8, 2 ** (n - 1))] * len(chunks)
         assert [chunk[0] for chunk in chunks] == [gaps_of_mask(n, j * 2**8) for j in range(len(chunks))]
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_mask_chunks_cut_the_per_mask_rule_every_2_to_the_8_masks(self, n):
+        chunks = list(verify._mask_chunks(n))
+        want = [verify._set_of_mask(n, m).elements for m in range(2 ** (n - 1))]
+        assert list(chain.from_iterable(chunks)) == want
+        assert [len(chunk) for chunk in chunks] == [min(2**8, 2 ** (n - 1))] * len(chunks)
+        assert [chunk[0] for chunk in chunks] == want[:: 2**8]
+
     def test_successor_chunks_read_nothing_of_the_kernel(self, monkeypatch):
         # The route is the kernel's oracle, so it must not reach the kernel.
-        for name in ("_words", "_dense_blocks", "_low_table", "_classes", "_run", "_diffs", "_members"):
+        for name in KERNEL:
             monkeypatch.setattr(counting, name, None)
         assert sum(map(len, verify._successor_chunks(16))) == 2**15
+
+    def test_mask_chunks_read_nothing_of_the_kernel(self, monkeypatch):
+        for name in KERNEL:
+            monkeypatch.setattr(counting, name, None)
+        assert sum(map(len, verify._mask_chunks(16))) == 2**15
 
 
 class TestImageMismatch:
