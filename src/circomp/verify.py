@@ -283,12 +283,16 @@ def _palindrome_bijection(n: int) -> Checks:
     Tau inverse sends the set with gap word u repeated d times to u times d (gcd d); set
     and word order like u's mask at order n/d, so each image is the next of its gcd class.
     The sets come from the raw-tuple scan; only those that pass it, about 2^(n/2), are
-    wrapped, and validated, as ConnectionSets.
+    wrapped, and validated, as ConnectionSets. One pass over the palindrome stream sorts
+    its words into one class per divisor of n, in stream order; a word whose gcd `divisors(n)`
+    does not list falls in no class, so the set it comes from finds no word.
     """
     if n < 2:
         return
-    # d=d binds each stream's own divisor; a generator expression would see the last.
-    words = {d: filter(lambda c, d=d: c.gcd() == d, iter_family(n, "aperiodic_palindromes")) for d in divisors(n)}
+    classes: dict[int, list[Composition]] = {d: [] for d in divisors(n)}
+    for c in iter_family(n, "aperiodic_palindromes"):
+        classes.get(c.gcd(), []).append(c)
+    words = {d: iter(cls) for d, cls in classes.items()}
     sets = 0
     for s in map(partial(ConnectionSet, n), _symmetric_generators(n)):
         c, sets = aperiodic_palindrome_of(s), sets + 1
@@ -303,6 +307,28 @@ def _palindrome_bijection(n: int) -> Checks:
         yield 0, f"n={n}: {sets} enumerated vs {count_aperiodic_palindromes(n)} counted"
 
 
+def _chunk_tallies(chunk: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The number of coprime words in a chunk of `_successor_chunks`, and its palindromes in order.
+
+    Past chunk 0, every word of a chunk ends with the rest R of its first
+    word (a,) + R, and its word at index i >= 1 has first part (lowest
+    set bit of i) + 1. So when gcd(R) = 1 all 2^8 words are coprime, and
+    a palindrome, whose first part is its last part l = R[-1], can only
+    sit at the indices 2^(l-1) + k * 2^l, or at index 0 when a = l. Each
+    such candidate is still reversed in full. Chunk 0, whose first word
+    (n,) has no rest, a chunk shorter than 2^8 and the coprime count of a
+    chunk with gcd(R) > 1 are tallied word by word; a word whose ends
+    differ is no palindrome, so it is dropped before it is reversed.
+    """
+    if len(chunk) < _CHUNK or len(chunk[0]) == 1:
+        return list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w[0] == w[-1] and w == w[::-1]]
+    a, *rest = chunk[0]
+    prime = _CHUNK if math.gcd(*rest) == 1 else list(starmap(math.gcd, chunk)).count(1)
+    last = rest[-1]
+    candidates = chunk[:1] if a == last else chunk[1 << (last - 1) :: 1 << last]
+    return prime, [w for w in candidates if w == w[::-1]]
+
+
 def _count_oracles(n: int) -> Checks:
     """Closed-form counts equal the lengths of the enumerated families.
 
@@ -310,10 +336,10 @@ def _count_oracles(n: int) -> Checks:
     the successor walk's chunks by list equality; only a chunk that
     differs is searched for its first stray mask. A stream that ends
     early or runs past the walk leaves an unequal chunk, so it fails
-    too. The coprime words and the palindromes are tallied on the
-    tuples, and the palindromes the scan finds must reproduce the
-    palindrome stream item for item; a word whose ends differ is no
-    palindrome, so it is dropped before it is reversed.
+    too. Only a chunk equal to the walk's is tallied, by
+    `_chunk_tallies`, which reads the walk's layout to count the coprime
+    words and find the palindromes; the palindromes it finds must
+    reproduce the palindrome stream item for item.
     """
     prime = 0
     scanned_pals: list[tuple[int, ...]] = []
@@ -325,8 +351,10 @@ def _count_oracles(n: int) -> Checks:
             i, c, w = next((i, c, w) for i, (c, w) in enumerate(zip_longest(chunk, want)) if c != w)
             m = start + i if start + i < count_compositions(n) else None  # None: past the last mask
             yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the mask route {_spelled(w)}"
-        prime += list(starmap(math.gcd, chunk)).count(1)
-        scanned_pals += [w for w in chunk if w[0] == w[-1] and w == w[::-1]]
+            return
+        coprime, pals = _chunk_tallies(chunk)
+        prime += coprime
+        scanned_pals += pals
     yield count_compositions(n), None
     if prime != count_prime_compositions(n):
         yield 0, f"n={n}: {prime} coprime words enumerated vs {count_prime_compositions(n)} counted"

@@ -581,12 +581,18 @@ def loaded(argv):
 
 # Per command, a module it must load and the modules it must not load, each with its
 # submodules: the suites and the pool wait for verify, and the pool for a second worker;
-# `table` spells its JSON by hand. No command loads dataclasses or typing either: the
-# values are `_value.Value`s, the records namedtuples, and no annotation is evaluated.
+# `table` spells its JSON by hand; decimal waits for `table` or a `count` past
+# `counting._DECIMAL_FROM`. No command loads dataclasses or typing either: the values
+# are `_value.Value`s, the records namedtuples, and no annotation is evaluated.
+LIBRARY_ONLY = ("decimal", "json", "circomp.verify", "concurrent.futures", "multiprocessing")
 START_UP = [
     ((), "circomp.cli", ("circomp.verify", "concurrent.futures", "multiprocessing", "json")),
     (("table", "3", "--format", "json"), "circomp.cli", ("json",)),
     (("verify", "--max-n", "4", "--workers", "1"), "circomp.verify", ("concurrent.futures", "multiprocessing")),
+    (("count", "compositions", "1"), "circomp.counting", LIBRARY_ONLY),
+    (("list", "palindromes", "5"), "circomp.counting", LIBRARY_ONLY),
+    (("graph", "5", "0,1"), "circomp.counting", LIBRARY_ONLY),
+    (("convert", "tau", "1,2,1"), "circomp.counting", LIBRARY_ONLY),
 ]
 
 

@@ -6,7 +6,7 @@ import math
 import pathlib
 import re
 import tracemalloc
-from itertools import chain
+from itertools import chain, starmap
 
 import pytest
 
@@ -168,6 +168,38 @@ def high_elements_one_too_high(n):
     """
     for j, chunk in enumerate(MASK_CHUNKS(n)):
         yield chunk if j == 0 else [t[:1] + tuple(e + (e > 8) for e in t[1:]) for t in chunk]
+
+
+CHUNK_TALLIES = verify._chunk_tallies
+
+
+def later_chunk(chunk):
+    """Whether `_chunk_tallies` reads the walk's layout for this chunk: a full one past chunk 0."""
+    return len(chunk) == 2**8 and len(chunk[0]) > 1
+
+
+def coprime_without_the_rest_test(chunk):
+    """Deliberately broken tally: every later chunk counts all its words coprime, whatever gcd its rest has.
+
+    Chunk 1 of n = 12 starts with 9,3, so its rest is 3, and it holds mask 260's word 3,6,3.
+    """
+    prime, pals = CHUNK_TALLIES(chunk)
+    return (len(chunk) if later_chunk(chunk) else prime), pals
+
+
+def palindrome_slice_one_late(chunk):
+    """Deliberately broken tally: a later chunk's palindrome candidates are read one index late.
+
+    Chunk 1 of n = 10 starts with 9,1, so its candidates sit at the odd
+    indices; read one late, they miss mask 257's palindrome 1,8,1.
+    """
+    prime, pals = CHUNK_TALLIES(chunk)
+    if later_chunk(chunk):
+        a, *rest = chunk[0]
+        last = rest[-1]
+        candidates = chunk[:1] if a == last else chunk[(1 << (last - 1)) + 1 :: 1 << last]
+        pals = [w for w in candidates if w == w[::-1]]
+    return prime, pals
 
 
 def factorize_skipping_5(n):
@@ -358,6 +390,23 @@ class TestFaultInjection:
         result = verify._run_order("count", verify._count_oracles, n)
         assert not result.passed and result.checked == 0
         assert result.counterexample == f"n={n}, mask {mask}: the kernel gives {got}, the mask route {want}"
+
+    @pytest.mark.parametrize(
+        "fault,checks,counterexample",
+        [
+            # The words of n = 1..11 and the 2^11 of n = 12 are counted before the coprime tally is.
+            (coprime_without_the_rest_test, 2**12 - 1, "n=12: 2030 coprime words enumerated vs 2010 counted"),
+            # Chunk 1 of n = 10 is the first later chunk, past the matrix's max_n = 9.
+            (palindrome_slice_one_late, 2**10 - 1, "n=10: palindrome stream gives 1,8,1 where the scan gives None"),
+        ],
+    )
+    def test_a_broken_chunk_tally_fails_the_count_suite_past_max_n_9(
+        self, fault, checks, counterexample, monkeypatch
+    ):
+        monkeypatch.setattr(verify, "_chunk_tallies", fault)
+        assert ranged("count formulas vs enumeration", 1, 9).passed
+        result = ranged("count formulas vs enumeration", 1, 20)
+        assert (result.checked, result.counterexample) == (checks, counterexample)
 
     def test_a_swap_in_the_second_kernel_block_names_its_first_mask(self, monkeypatch):
         # n = 12 has two kernel blocks of 2^10 words; the chunk that differs is
@@ -807,6 +856,13 @@ class TestUnits:
         # 2^(n-1) is below 2^8 or a multiple of it, so no chunk is partial but the only one.
         assert [len(chunk) for chunk in chunks] == [min(2**8, 2 ** (n - 1))] * len(chunks)
         assert [chunk[0] for chunk in chunks] == [gaps_of_mask(n, j * 2**8) for j in range(len(chunks))]
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_chunk_tallies_equal_the_per_word_tallies(self, n):
+        # The per-word gcd and the full palindrome scan stay the oracle of the walk-layout shortcut.
+        for chunk in verify._successor_chunks(n):
+            want = (list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w == w[::-1]])
+            assert verify._chunk_tallies(chunk) == want
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_mask_chunks_cut_the_per_mask_rule_every_2_to_the_8_masks(self, n):
