@@ -12,6 +12,9 @@ Z_n, i.e. with the connected circulant graphs of order n.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
+
 from .compositions import Composition
 from .circulant import ConnectionSet
 
@@ -25,9 +28,7 @@ def gap_composition(connection: ConnectionSet) -> Composition:
     word n.
     """
     n, elems = connection.modulus, connection.elements
-    parts = [b - a for a, b in zip(elems, elems[1:])]
-    parts.append(n - elems[-1])
-    return Composition(tuple(parts))
+    return Composition(tuple(map(sub, elems[1:] + (n,), elems)))
 
 
 def prefix_sum_set(composition: Composition) -> ConnectionSet:
@@ -36,10 +37,7 @@ def prefix_sum_set(composition: Composition) -> ConnectionSet:
     Inverse of :func:`gap_composition`; the final part is recovered as
     the wrap-around gap, so it contributes no element.
     """
-    sums = [0]
-    for p in composition.parts[:-1]:
-        sums.append(sums[-1] + p)
-    return ConnectionSet(composition.total, tuple(sums))
+    return ConnectionSet(composition.total, tuple(accumulate(composition.parts[:-1], initial=0)))
 
 
 def connected_set_of(palindrome: Composition) -> ConnectionSet:

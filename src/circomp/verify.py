@@ -72,35 +72,36 @@ def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResul
     return SuiteResult(name, counterexample is None, checked, n, counterexample, detail, seconds)
 
 
-def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
-    """The gap words of masks 0, 1, ..., 2^(n-1) - 1, each derived from the last.
+def _successor(word: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The gap word of mask m + 1, built from `word`, that of mask m.
 
-    Mask 0 is the set {0}, whose word is (n,). If mask m has t trailing
-    one bits, its word is t ones, a part g >= 2, then the rest; adding 1
-    clears those bits and sets bit t, so the word of m + 1 is
-    (t + 1, g - 1) followed by the same rest. Every even m has t = 0, so
-    its step, (1, g - 1) and the rest, is taken without finding t. Uses
-    no bit loop over the mask, so it is a route independent of the
-    kernel and of the per-mask decoding. It is the base of
-    `_successor_chunks`, the route through which the round-trip, count
-    and part-count suites enumerate the compositions of n.
+    If m has t trailing one bits, its word is t ones, a part g >= 2, then
+    the rest; adding 1 clears those bits and sets bit t, so the word of
+    m + 1 is (t + 1, g - 1) followed by the same rest.
+    """
+    t = (m ^ (m + 1)).bit_length() - 1
+    return (t + 1, word[t] - 1) + word[t + 1 :]
+
+
+def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The gap words of masks 0, 1, ..., 2^(n-1) - 1, each the `_successor` of the last.
+
+    Mask 0 is the set {0}, whose word is (n,). Uses no bit loop over the
+    mask, so it is a route independent of the kernel and of the per-mask
+    decoding. It is the base of `_successor_chunks`, the route through
+    which the round-trip, count and part-count suites enumerate the
+    compositions of n.
     """
     word = (n,)
-    # Each pass steps from the even mask m - 1 to m, then from m to m + 1.
-    for m in range(1, (1 << (n - 1)) - 1, 2):
-        yield word
-        word = (1, word[0] - 1) + word[1:]
-        yield word
-        t = (m ^ (m + 1)).bit_length() - 1
-        word = (t + 1, word[t] - 1) + word[t + 1 :]
     yield word
-    if n > 1:
-        yield (1, word[0] - 1) + word[1:]  # the last mask, 2^(n-1) - 1, is odd
+    for m in range((1 << (n - 1)) - 1):
+        word = _successor(word, m)
+        yield word
 
 
-# Words of the successor walk per chunk, and kernel words the count suite
-# compares with one chunk at a time. At 2^10, the `verify --max-n 19`
-# process peaked 0.5 MB higher, and ran no faster.
+# Masks per chunk of the successor walk, of `_mask_chunks` and of the kernel
+# streams the round trips and the count suite compare with them. At 2^10, the
+# `verify --max-n 19` process peaked 0.5 MB higher, and ran no faster.
 _CHUNK = 1 << 8
 
 
@@ -113,10 +114,10 @@ def _successor_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
     of r at order 9 with a - 9 added to its last part, then R. For r of
     top bit p - 1 that last part is 9 - p, so the words of all such r
     are their order-9 words without the last part, each followed by
-    (a - p,) + R: one map per top bit. The next chunk's first word comes
-    from this chunk's last one by the walk's carry step. The low words
-    come only from `_successor_words`, so the route stays independent of
-    the kernel, and no step loops over the bits of a mask.
+    (a - p,) + R: one map per top bit. The next chunk's first word is the
+    `_successor` of this chunk's last one. The low words come only from
+    `_successor_words`, so the route stays independent of the kernel, and
+    no step loops over the bits of a mask.
     """
     low = _CHUNK.bit_length()  # 9: the order whose 2^8 words spell a chunk's low bits
     if n <= low:
@@ -132,9 +133,7 @@ def _successor_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
         for p, top in enumerate(heads, 1):
             chunk += map(add, top, repeat((a - p,) + rest))
         yield chunk
-        t = (m ^ (m + 1)).bit_length() - 1
-        last = chunk[-1]
-        word = (t + 1, last[t] - 1) + last[t + 1 :]
+        word = _successor(chunk[-1], m)
 
 
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
@@ -317,11 +316,10 @@ def _chunk_tallies(chunk: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, .
     sit at the indices 2^(l-1) + k * 2^l, or at index 0 when a = l. Each
     such candidate is still reversed in full. Chunk 0, whose first word
     (n,) has no rest, a chunk shorter than 2^8 and the coprime count of a
-    chunk with gcd(R) > 1 are tallied word by word; a word whose ends
-    differ is no palindrome, so it is dropped before it is reversed.
+    chunk with gcd(R) > 1 are tallied word by word.
     """
     if len(chunk) < _CHUNK or len(chunk[0]) == 1:
-        return list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w[0] == w[-1] and w == w[::-1]]
+        return list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w == w[::-1]]
     a, *rest = chunk[0]
     prime = _CHUNK if math.gcd(*rest) == 1 else list(starmap(math.gcd, chunk)).count(1)
     last = rest[-1]
@@ -344,18 +342,19 @@ def _count_oracles(n: int) -> Checks:
     prime = 0
     scanned_pals: list[tuple[int, ...]] = []
     words, walk = counting._words(n, "compositions"), _successor_chunks(n)
+    total = count_compositions(n)
     # One chunk past the last mask, so that a stream running past the walk is read.
-    for start in range(0, count_compositions(n) + 1, _CHUNK):
+    for start in range(0, total + 1, _CHUNK):
         chunk, want = list(islice(words, _CHUNK)), next(walk, [])
         if chunk != want:
             i, c, w = next((i, c, w) for i, (c, w) in enumerate(zip_longest(chunk, want)) if c != w)
-            m = start + i if start + i < count_compositions(n) else None  # None: past the last mask
-            yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the mask route {_spelled(w)}"
+            m = start + i if start + i < total else None  # None: past the last mask
+            yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the walk {_spelled(w)}"
             return
         coprime, pals = _chunk_tallies(chunk)
         prime += coprime
         scanned_pals += pals
-    yield count_compositions(n), None
+    yield total, None
     if prime != count_prime_compositions(n):
         yield 0, f"n={n}: {prime} coprime words enumerated vs {count_prime_compositions(n)} counted"
     if n < 2:

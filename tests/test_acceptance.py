@@ -10,7 +10,8 @@ order 21..40 disconnected row (n = 28, 30, 36, 40) contradict the same
 table's order 1..20 values via the divisor-sum identity that test_c08
 checks, so no implementation can satisfy both; the pins are kept as
 published and the test reports exactly those four mismatches as its
-failure instead of repairing them.
+failure instead of repairing them. A passing test beside it pins that
+the table errs on exactly those four entries.
 """
 
 import time
@@ -136,6 +137,36 @@ def test_c03_published_count_table_rows():
         if got != want:
             mismatches.append(f"disconnected n={n}: computed {got}, published {want}")
     assert not mismatches, "; ".join(mismatches)
+
+
+def test_the_published_table_errs_exactly_on_the_four_disconnected_entries():
+    """test_c03's failure, pinned as a passing contract.
+
+    Every pinned entry is compared with the library's count, and each
+    disconnected entry of order 21..40 also with the sum of the published
+    prime counts over its proper divisors, which all lie in 1..20. Both
+    routes must find exactly n = 28, 30, 36 and 40 wrong, with the same
+    forced values.
+    """
+    published = {
+        **{("prime", n): v for n, v in PUBLISHED_PRIME_1_20.items()},
+        **{("disconnected", n): v for n, v in PUBLISHED_DISCONNECTED_1_20.items()},
+        **{("disconnected", n): v for n, v in PUBLISHED_DISCONNECTED_21_40.items()},
+    }
+    count = {"prime": count_prime_compositions, "disconnected": count_disconnected_compositions}
+    computed = {(family, n): count[family](n) for family, n in published}
+    forced = {
+        ("disconnected", n): sum(PUBLISHED_PRIME_1_20[d] for d in range(1, n) if n % d == 0)
+        for n in PUBLISHED_DISCONNECTED_21_40
+    }
+    erratum = {
+        ("disconnected", 28): (8198, 9198),
+        ("disconnected", 30): (16907, 16905),
+        ("disconnected", 36): (133088, 133090),
+        ("disconnected", 40): (524408, 524282),
+    }
+    assert {k: (computed[k], v) for k, v in published.items() if computed[k] != v} == erratum
+    assert {k: (forced[k], published[k]) for k in forced if forced[k] != published[k]} == erratum
 
 
 def test_c04_round_trips_exhaustive_to_14():

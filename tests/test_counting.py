@@ -412,6 +412,17 @@ def unlimited_int_str():
 
 COUNTED = counting._COUNTED
 
+# The largest prime below 2^63, which the table's cells are fingerprinted
+# modulo. 2 has order (TABLE_PRIME - 1) / 2 modulo it, so no two powers of two
+# the table sums agree modulo it. Modulo 2^61 - 1 they repeat every 61 exponents: there
+# prime(5003) = 2^5002 - 1 is 0, and a sieve that drops it goes unseen. It is
+# below 10^19, one word of libmpdec, where Decimal `%` is fastest: modulo
+# 2^64 - 59 the pass over the table took 2.4 s longer.
+TABLE_PRIME = 2**63 - 25
+
+# Rows the width rule's test also spells in full: 4999, 5000 and the two highest.
+SAMPLED_ROWS = (4999, 5000, _TABLE_MAX_N - 1, _TABLE_MAX_N)
+
 
 def outcome(call):
     """The call's result, or the text of the ValueError it raises."""
@@ -436,6 +447,55 @@ def decimal_doubling():
         return powers[k]
 
     return two
+
+
+def moebius_terms(n, primes):
+    """(n/k, mu(k)) for each squarefree k | n, given the distinct primes of n."""
+    return [(n // math.prod(ps), (-1) ** k) for k in range(len(primes) + 1) for ps in combinations(primes, k)]
+
+
+def moebius_residues(max_n):
+    """The rows n = 1..max_n modulo TABLE_PRIME, each count a Moebius sum of powers of two.
+
+    prime(n) is the sum of mu(n/d) 2^(d-1) over d | n, and aperiodic(n) that
+    of mu(n/d) 2^floor(d/2). The primes of n come from a smallest-prime-factor
+    sieve built here, so neither `_factorize` nor the table's sieve grades itself.
+    """
+    spf = list(range(max_n + 1))
+    for p in range(2, math.isqrt(max_n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, max_n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    two = [pow(2, k, TABLE_PRIME) for k in range(max_n)]
+    for n in range(1, max_n + 1):
+        primes, rest = [], n
+        while rest > 1:
+            primes.append(p := spf[rest])
+            while rest % p == 0:
+                rest //= p
+        terms = moebius_terms(n, primes)
+        prime = sum(mu * two[d - 1] for d, mu in terms) % TABLE_PRIME
+        aperiodic = sum(mu * two[d // 2] for d, mu in terms) % TABLE_PRIME
+        yield n, two[n - 1], prime, (two[n - 1] - prime) % TABLE_PRIME, two[n // 2], aperiodic
+
+
+@pytest.fixture(scope="module")
+def table_pass():
+    """One pass over every row `table` prints: its cells' digit counts and residues, and SAMPLED_ROWS spelled.
+
+    The residues, modulo TABLE_PRIME, need an exact context: at the default
+    precision, `%` on a count of more than 28 digits raises DivisionImpossible.
+    """
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    digits, residues, kept = [], [], {}
+    for row in _decimal_rows(_TABLE_MAX_N):
+        n, counts = row[0], row[1:]
+        digits.append([len(str(n))] + [count.adjusted() + 1 for count in counts])
+        residues.append((n, *(int(exact.remainder(count, TABLE_PRIME)) for count in counts)))
+        if n in SAMPLED_ROWS:
+            kept[n] = spelled(row)
+    return digits, residues, kept
 
 
 class TestPowerOfTwoBuilder:
@@ -479,24 +539,27 @@ class TestDecimalRoute:
             counts = [v for k, v in row.items() if k != "n"]
             assert type(row["n"]) is int and {type(v) for v in counts} == {decimal.Decimal}
 
-    def test_the_last_two_rows_hold_every_widest_cell(self, unlimited_int_str):
+    def test_the_last_two_rows_hold_every_widest_cell(self, table_pass, unlimited_int_str):
         # The rule text `table` sizes its columns by, at every order it prints, and
         # count_row's rows as the sieve spells them at 4999, 5000 and the two highest.
-        sampled = {4999, 5000, _TABLE_MAX_N - 1, _TABLE_MAX_N}
+        digit_rows, _, kept = table_pass
         widest = previous = [0] * len(CountRow._fields)
-        exceptions, kept = [], {}
-        for row in _decimal_rows(_TABLE_MAX_N):
-            n = row[0]
-            digits = [len(str(n))] + [count.adjusted() + 1 for count in row[1:]]
+        exceptions = []
+        for n, digits in enumerate(digit_rows, 1):
             widest = list(map(max, widest, digits))
             if widest != list(map(max, previous, digits)):
                 exceptions.append(n)
             previous = digits
-            if n in sampled:
-                kept[n] = spelled(row)
         assert exceptions == []
-        for n in sorted(sampled):
+        for n in SAMPLED_ROWS:
             assert spelled(vars(count_row(n)).values()) == kept[n]
+
+    def test_every_cell_is_the_moebius_sum_modulo_a_prime(self, table_pass):
+        # Every row up to _TABLE_MAX_N, where the exact comparisons reach only
+        # n <= 5000 and a few orders past it. A wrong cell escapes only if its
+        # error is a multiple of TABLE_PRIME (Karp and Rabin 1987).
+        _, residues, _ = table_pass
+        assert residues == list(moebius_residues(_TABLE_MAX_N))
 
     def test_int_rows_are_the_count_table(self):
         assert [CountRow(*row) for row in _decimal_rows(400)] == count_table(400)
@@ -543,9 +606,7 @@ class TestDecimalRoute:
                     rest //= p
             p += 1
         primes += [rest] if rest > 1 else []
-        terms = [
-            (n // math.prod(ps), (-1) ** k) for k in range(len(primes) + 1) for ps in combinations(primes, k)
-        ]
+        terms = moebius_terms(n, primes)
         want = {
             "prime_compositions": sum(mu * pow(2, d - 1, P) for d, mu in terms) % P,
             "aperiodic_palindromes": sum(mu * pow(2, d // 2, P) for d, mu in terms) % P,

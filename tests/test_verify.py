@@ -366,7 +366,7 @@ class TestFaultInjection:
         result = results["count formulas vs enumeration"]
         assert not result.passed
         assert result.checked == 0
-        assert result.counterexample == "n=1, mask 0: the kernel gives None, the mask route 1"
+        assert result.counterexample == "n=1, mask 0: the kernel gives None, the walk 1"
 
     @pytest.mark.parametrize(
         "n,fault,mask,got,want",
@@ -389,7 +389,7 @@ class TestFaultInjection:
         monkeypatch.setattr(counting, "_words", broken)
         result = verify._run_order("count", verify._count_oracles, n)
         assert not result.passed and result.checked == 0
-        assert result.counterexample == f"n={n}, mask {mask}: the kernel gives {got}, the mask route {want}"
+        assert result.counterexample == f"n={n}, mask {mask}: the kernel gives {got}, the walk {want}"
 
     @pytest.mark.parametrize(
         "fault,checks,counterexample",
@@ -420,7 +420,7 @@ class TestFaultInjection:
         result = verify._run_order("count", verify._count_oracles, 12)
         assert not result.passed and result.checked == 0
         stray, want = (Composition(gaps_of_mask(12, m)) for m in (1040, 1030))
-        assert result.counterexample == f"n=12, mask 1030: the kernel gives {stray}, the mask route {want}"
+        assert result.counterexample == f"n=12, mask 1030: the kernel gives {stray}, the walk {want}"
 
     def test_a_walk_one_word_short_fails_every_suite_that_reads_it(self, monkeypatch):
         # At n = 1 the walk gives no word at all. The round trips zip it with
@@ -430,7 +430,7 @@ class TestFaultInjection:
         results = {r.name: r for r in run_suites(max_n=9)}
         want = {
             "gap-word round trips": (2, "n=1, mask 0: the gap word is 1, the walk None"),
-            "count formulas vs enumeration": (0, "n=1, mask 0: the kernel gives 1, the mask route None"),
+            "count formulas vs enumeration": (0, "n=1, mask 0: the kernel gives 1, the walk None"),
             "part-count refinement": (0, "n=1, k=1"),
         }
         assert {r.name: (r.checked, r.counterexample) for r in results.values() if not r.passed} == want
@@ -443,7 +443,7 @@ class TestFaultInjection:
         monkeypatch.setattr(verify, "_successor_chunks", carry_into_chunk_2_one_low)
         result = ranged("count formulas vs enumeration", 1, 12)
         assert (result.checked, result.counterexample) == (
-            2**10 - 1, "n=11, mask 512: the kernel gives 10,1, the mask route 9,2"
+            2**10 - 1, "n=11, mask 512: the kernel gives 10,1, the walk 9,2"
         )
         result = ranged("gap-word round trips", 1, 12)
         assert (result.checked, result.counterexample) == (
@@ -561,7 +561,7 @@ class TestFaultInjection:
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["count formulas vs enumeration"]
         assert not result.passed
-        assert result.counterexample == "n=3, mask 3: the kernel gives 1,1,2, the mask route 1,1,1"
+        assert result.counterexample == "n=3, mask 3: the kernel gives 1,1,2, the walk 1,1,1"
         result = results["gap-word round trips"]
         assert not result.passed
         assert result.counterexample == "n=3, mask 3: the kernel gives 3: 0,1,1, the mask route 3: 0,1,2"
@@ -718,7 +718,7 @@ class TestMutantMatrix:
     @pytest.mark.parametrize("mutant,fails", [
         ("walk's odd step reversed at mask 5", {
             "gap-word round trips": "n=4, mask 5: the gap word is 1,2,1, the walk 2,1,1",
-            "count formulas vs enumeration": "n=4, mask 5: the kernel gives 1,2,1, the mask route 2,1,1",
+            "count formulas vs enumeration": "n=4, mask 5: the kernel gives 1,2,1, the walk 2,1,1",
         }),
         ("symmetric scan's end test inverted", {
             "aperiodic palindrome bijection": "n=2: word 2 is the image of no set",
