@@ -21,8 +21,8 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import cache, partial
-from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add
 
 # Annotations are never evaluated (PEP 563), so the `Any` they name is not
 # imported: loading `typing` would add to the start of every command.
@@ -197,9 +197,9 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[tuple[Any, Any]
     A mask of width n - 1 splits into its low k = min(10, n - 1) bits L
     and its high bits H (Knuth, TAOCP 4A, 7.2.1). L's elements run
     0 < ... < p_L, all at most k; H's run q_H < ... < n, closed by n.
-    The 2^k low pieces are spelled once per call and grouped into their
+    The 2^k low pieces are built once per call, by doubling, as their
     boundary classes, the runs of one p_L: L = 0 for p = 0, and L in
-    [2^(p-1), 2^p) for p >= 1 (_classes). Each high half, ascending,
+    [2^(p-1), 2^p) for p >= 1 (_low_classes). Each high half, ascending,
     spells one rest per class: p_L and H's elements for a set, the gaps
     of p_L and H's run for a word. It yields its k + 1 classes in
     ascending mask order, each member being piece + rest.
@@ -211,7 +211,7 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[tuple[Any, Any]
     k = min(_LOW_BITS, n - 1)
     highs = range(1 << (n - 1 - k))  # an order too large to enumerate fails here, at the call
     sets = family == "connection_sets"
-    classes = _classes(_low_table(k, sets, spell))
+    classes = _low_classes(k, sets, spell)
     coprime = {} if family == "prime_compositions" else None
     spell_rest = spell[1]
 
@@ -230,38 +230,24 @@ def _dense_blocks(n: int, family: str, spell: tuple) -> Iterator[tuple[Any, Any]
     return blocks()
 
 
-def _low_table(k: int, sets: bool, spell: tuple) -> list[tuple[Any, int, int]]:
-    """Per k-bit low half L, ascending: its spelled piece, p_L, and the gcd of its gaps.
+def _low_classes(k: int, sets: bool, spell: tuple) -> list[tuple[int, tuple, tuple]]:
+    """The boundary classes of the k-bit low halves L, ascending, each (p, pieces, gcds).
 
-    The piece is low(before), with before the numbers ahead of the
-    boundary: L's gaps for a word, L's elements but p_L for a set.
-    Built by doubling: the masks below 2^e are those below 2^(e-1),
-    then the same with bit e-1 set, which appends the element e, the
-    gap e - p_L and gcd(d, e - p_L) = gcd(d, e), as d divides p_L. So
-    the rows with bit e-1 set are the boundary class p = e. The pieces
-    are spelled in one pass at the end. Tier-1 holds the table to the
-    per-mask decoding by _run and _diffs.
+    Class p holds the L whose top element p_L is p, in mask order. A
+    piece is low(before), with before the numbers ahead of the boundary:
+    L's gaps for a word, L's elements but p_L for a set; gcds holds the
+    gcd d of each L's gaps. Built by doubling: class 0 is L = 0, and
+    class e is every L of classes 0 .. e - 1 with bit e-1 set, which
+    appends the element p_L, the gap e - p_L and gcd(d, e - p_L) =
+    gcd(d, e), as d divides p_L. The pieces are spelled in one pass at
+    the end. Tier-1 holds the classes to the per-mask decoding by _run
+    and _diffs.
     """
-    nums, ps, ds = [()], [0], [0]
+    classes = [(0, [()], [0])]
     for e in range(1, k + 1):
-        nums += [t + ((p,) if sets else (e - p,)) for t, p in zip(nums, ps)]
-        ds += [math.gcd(d, e) for d in ds]
-        ps += [e] * len(ps)
-    return list(zip(map(spell[0], nums), ps, ds))
-
-
-def _classes(table: list[tuple[Any, int, int]]) -> list[tuple[int, tuple, tuple]]:
-    """The low table's boundary classes in table order, each (p, pieces, gcds).
-
-    A class is a run of rows with one p, found by groupby in table
-    order, not by p's value, so every piece is spelled with its own
-    row's p even where the p column is wrong.
-    """
-    classes = []
-    for p, rows in groupby(table, itemgetter(1)):
-        pieces, _, ds = zip(*rows)
-        classes.append((p, pieces, ds))
-    return classes
+        nums = [t + ((p,) if sets else (e - p,)) for p, ts, _ in classes for t in ts]
+        classes.append((e, nums, [math.gcd(d, e) for _, _, ds in classes for d in ds]))
+    return [(p, tuple(map(spell[0], nums)), tuple(ds)) for p, nums, ds in classes]
 
 
 def _coprime_classes(classes: list[tuple[int, tuple, tuple]], g: int) -> list[tuple[int, tuple, tuple]]:

@@ -15,6 +15,7 @@ from circomp import cli, counting, verify
 from circomp.circulant import CirculantDigraph, ConnectionSet, build_digraph, build_graph
 from circomp.compositions import Composition
 from circomp.cli import build_parser, main, render_dot, render_edgelist
+import golden
 from references import all_sets, arc_rule, edge_rule, low_masks, many_step_sets
 
 
@@ -175,6 +176,18 @@ class TestList:
 DENSE = ("compositions", "prime-compositions", "connection-sets")
 PALINDROMIC = ("palindromes", "aperiodic-palindromes", "symmetric-connection-sets")
 ORDERS = {**dict.fromkeys(DENSE, range(1, 17)), **dict.fromkeys(PALINDROMIC, range(2, 25))}
+
+
+def test_the_golden_corpus_replays_in_process():
+    # The cheap cases of tests/golden.json through cli.main; the corpus pins the
+    # bytes of the commit that wrote it, and `golden.py --check` runs every case.
+    cases = [case for case in golden.load() if case["argv"] not in golden.CHILD_ONLY]
+    moved = []
+    for case in cases:
+        code, out, err = run_cli(*case["argv"])
+        if golden.record(case["argv"], code, out.encode(), err.encode()) != case:
+            moved.append(" ".join(case["argv"]))
+    assert cases and moved == []
 
 
 def rendered(family, n, fmt, limit=None):

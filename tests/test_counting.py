@@ -347,13 +347,14 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("sets", [False, True])
     @pytest.mark.parametrize("k", range(11))
-    def test_doubled_low_table_equals_the_per_mask_build(self, k, sets):
+    def test_doubled_low_classes_equal_the_per_mask_build(self, k, sets):
         want = []
         for m in range(1 << k):
             run = (0,) + counting._run(m, 1)
             gaps = counting._diffs(run)
             want.append((run[:-1] if sets else gaps, run[-1], math.gcd(*gaps)))
-        assert counting._low_table(k, sets, _TUPLES) == want
+        classes = counting._low_classes(k, sets, _TUPLES)
+        assert [(piece, p, d) for p, pieces, ds in classes for piece, d in zip(pieces, ds)] == want
 
     @pytest.mark.parametrize("n", [1, 5, 11, 12, 14])
     def test_trusted_objects_equal_and_hash_like_validated_ones(self, n):
@@ -595,9 +596,10 @@ class TestDecimalRoute:
     @pytest.mark.parametrize("n", [10**6, 10**7])
     def test_large_printed_counts_agree_with_the_moebius_sum_modulo_a_prime(self, n):
         # Orders the int route is too slow to compare at. Each count is reduced
-        # modulo P = 2^61 - 1 and compared with the Moebius sum of pow(2, ., P)
-        # over the primes of n found here by trial division, not by _factorize.
-        P = 2**61 - 1
+        # modulo TABLE_PRIME, where no two of the powers of two it sums agree,
+        # and compared with the Moebius sum of pow(2, ., P) over the primes of n
+        # found here by trial division, not by _factorize.
+        P = TABLE_PRIME
         primes, rest, p = [], n, 2
         while p * p <= rest:
             if rest % p == 0:

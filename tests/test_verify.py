@@ -6,7 +6,7 @@ import math
 import pathlib
 import re
 import tracemalloc
-from itertools import chain, starmap
+from itertools import chain, groupby, starmap
 
 import pytest
 
@@ -48,25 +48,27 @@ def symmetric_sets_swapped(n, family):
     return iter(items[1::-1] + items[2:])
 
 
-LOW_TABLE = counting._low_table
+LOW_CLASSES = counting._low_classes
 
 
 def low_boundary_shifted(k, sets, spell):
-    """The kernel's low table with p_L one too low wherever L has two nonzero elements."""
-    return [(low, p - (len(low) == 2), d) for low, p, d in LOW_TABLE(k, sets, spell)]
+    """The kernel's classes with p_L one too low wherever L has two nonzero elements, each run of those split out of its class."""
+    shifted = []
+    for p, pieces, ds in LOW_CLASSES(k, sets, spell):
+        for two, rows in groupby(zip(pieces, ds), lambda row: len(row[0]) == 2):
+            run_pieces, run_ds = zip(*rows)
+            shifted.append((p - two, run_pieces, run_ds))
+    return shifted
 
 
 def gcd_column_seeded_with_1(k, sets, spell):
-    """The kernel's low table with every gcd read as 1, so every word reads as coprime."""
-    return [(low, p, 1) for low, p, _ in LOW_TABLE(k, sets, spell)]
+    """The kernel's classes with every gcd read as 1, so every word reads as coprime."""
+    return [(p, pieces, (1,) * len(ds)) for p, pieces, ds in LOW_CLASSES(k, sets, spell)]
 
 
-CLASSES = counting._classes
-
-
-def classes_with_the_previous_rest(table):
-    """Deliberately broken grouping: each boundary class but the first is spelled with the previous class's rest."""
-    classes = CLASSES(table)
+def classes_with_the_previous_rest(k, sets, spell):
+    """Deliberately broken classes: each but the first is spelled with the previous class's rest."""
+    classes = LOW_CLASSES(k, sets, spell)
     return [(classes[i - 1][0] if i else p, pieces, ds) for i, (p, pieces, ds) in enumerate(classes)]
 
 
@@ -557,7 +559,7 @@ class TestFaultInjection:
     def test_off_by_one_boundary_gap_fails_against_the_per_mask_route(self, monkeypatch):
         # Lower p_L by one in every low half with exactly two nonzero elements,
         # so only their boundary gap (for sets, boundary element) is wrong.
-        monkeypatch.setattr(counting, "_low_table", low_boundary_shifted)
+        monkeypatch.setattr(counting, "_low_classes", low_boundary_shifted)
         results = {r.name: r for r in run_suites(max_n=9)}
         result = results["count formulas vs enumeration"]
         assert not result.passed
@@ -612,7 +614,7 @@ MUTANTS = {
     "gcd class 7 dropped": (counting, "_words", without_word_7),
     "a gcd class out of order": (counting, "_words", class_2_swapped),
     "gcd criterion ignores the modulus": (verify, "is_connected_by_gcd", literal_gcd_connected),
-    "kernel boundary gap off by one": (counting, "_low_table", low_boundary_shifted),
+    "kernel boundary gap off by one": (counting, "_low_classes", low_boundary_shifted),
     "last composition dropped": (counting, "_words", last_composition_dropped),
     "successor walk one word short": (verify, "_successor_words", walk_one_word_short),
     "walk's odd step reversed at mask 5": (verify, "_successor_words", odd_step_reversed_at_mask_5),
@@ -621,8 +623,8 @@ MUTANTS = {
     "symmetric generator scan one set short": (verify, "_symmetric_generators", last_generator_dropped),
     "symmetric scan's end test inverted": (verify, "_symmetric_generators", end_test_inverted),
     "period is the part count": (Composition, "period", lambda self: len(self.parts)),
-    "gcd column seeded with 1": (counting, "_low_table", gcd_column_seeded_with_1),
-    "boundary classes spelled with the previous rest": (counting, "_classes", classes_with_the_previous_rest),
+    "gcd column seeded with 1": (counting, "_low_classes", gcd_column_seeded_with_1),
+    "boundary classes spelled with the previous rest": (counting, "_low_classes", classes_with_the_previous_rest),
     "prime stream lists the disconnected words": (counting, "_words", prime_stream_disconnected),
     "disconnected count off by one": (
         verify, "count_disconnected_compositions", lambda n: counting.count_disconnected_compositions(n) + 1
@@ -761,7 +763,7 @@ class ReversedPool:
 
 
 # The block kernel's functions in counting, which no oracle route may reach.
-KERNEL = ("_words", "_dense_blocks", "_low_table", "_classes", "_run", "_diffs", "_members")
+KERNEL = ("_words", "_dense_blocks", "_low_classes", "_run", "_diffs", "_members")
 
 
 class TestUnits:
