@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from functools import partial
-from itertools import chain, islice, repeat, starmap, zip_longest
+from itertools import accumulate, chain, islice, repeat, starmap, zip_longest
 from operator import add
 
 from . import counting
@@ -105,35 +105,49 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
 _CHUNK = 1 << 8
 
 
+def _walk_blocks(n: int, k: int) -> Iterator[tuple[int, tuple, tuple[int, ...]]]:
+    """The successor walk's words at order n as the kernel's boundary classes, each (p, heads, rest).
+
+    The low k < n bits of a mask spell the first parts of its word, as at
+    order k + 1. Class p holds the low bits of top bit p - 1, masks
+    [2^(p-1), 2^p) at order k + 1, whose last part there is k + 1 - p:
+    its heads are those words without it, and class 0's one head is ().
+    Let a high half's first word, of mask j * 2^k, be (a,) + R. Then the
+    half yields (p, heads, (a - p,) + R) for p = 0..k, each member being
+    head + rest, and the next half's first word is the `_successor` of
+    this half's last one. Class p's heads are one tuple in every half.
+    The heads come only from `_successor_words`, so the route stays
+    independent of the kernel, and no step loops over the bits of a mask.
+    """
+    words = _successor_words(k + 1)
+    next(words, None)  # mask 0's word: each high half's first word takes its place
+    heads = [((),)] + [tuple(w[:-1] for w in islice(words, 1 << (p - 1))) for p in range(1, k + 1)]
+    word = (n,)
+    for m in range(0, 1 << (n - 1), 1 << k):  # m: the high half's first mask
+        if m:
+            word = _successor(heads[k][-1] + (word[0] - k,) + word[1:], m - 1)
+        a, rest = word[0], word[1:]
+        for p, top in enumerate(heads):
+            yield p, top, (a - p,) + rest
+
+
 def _successor_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
     """The successor walk's words in lists of _CHUNK = 2^8, chunk j starting at mask j * 2^8.
 
-    Up to n = 9 the walk is one chunk. Past it, let chunk j's first word,
-    of mask j * 2^8, be (a,) + R. The low 8 bits of a mask spell the
-    first parts of its word, so the word of mask j * 2^8 + r is the word
-    of r at order 9 with a - 9 added to its last part, then R. For r of
-    top bit p - 1 that last part is 9 - p, so the words of all such r
-    are their order-9 words without the last part, each followed by
-    (a - p,) + R: one map per top bit. The next chunk's first word is the
-    `_successor` of this chunk's last one. The low words come only from
-    `_successor_words`, so the route stays independent of the kernel, and
-    no step loops over the bits of a mask.
+    Up to n = 9 the walk is one chunk of its own words. Past it, chunk j
+    is the words of high half j of `_walk_blocks(n, 8)`, its 9 classes in
+    order.
     """
     low = _CHUNK.bit_length()  # 9: the order whose 2^8 words spell a chunk's low bits
     if n <= low:
         yield list(_successor_words(n))
         return
-    words = _successor_words(low)
-    next(words)  # mask 0's word: each chunk's first word takes its place
-    heads = [[w[:-1] for w in islice(words, 1 << (p - 1))] for p in range(1, low)]
-    word = (n,)
-    for m in range(_CHUNK - 1, 1 << (n - 1), _CHUNK):  # m: the chunk's last mask
-        a, rest = word[0], word[1:]
-        chunk = [word]
-        for p, top in enumerate(heads, 1):
-            chunk += map(add, top, repeat((a - p,) + rest))
+    blocks = _walk_blocks(n, low - 1)
+    for _ in range(1 << (n - low)):
+        chunk = []
+        for _, heads, rest in islice(blocks, low):
+            chunk += map(add, heads, repeat(rest))
         yield chunk
-        word = _successor(chunk[-1], m)
 
 
 def _set_of_mask(n: int, mask: int) -> ConnectionSet:
@@ -327,20 +341,18 @@ def _chunk_tallies(chunk: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, .
     return prime, [w for w in candidates if w == w[::-1]]
 
 
-def _count_oracles(n: int) -> Checks:
-    """Closed-form counts equal the lengths of the enumerated families.
+def _word_tallies(n: int) -> Generator[tuple[int, str | None], None, tuple[int, list[tuple[int, ...]]] | None]:
+    """The coprime words of n and its palindromes in order, compared and tallied word by word.
 
     The kernel's composition tuples, read _CHUNK at a time, must equal
     the successor walk's chunks by list equality; only a chunk that
-    differs is searched for its first stray mask. A stream that ends
-    early or runs past the walk leaves an unequal chunk, so it fails
-    too. Only a chunk equal to the walk's is tallied, by
-    `_chunk_tallies`, which reads the walk's layout to count the coprime
-    words and find the palindromes; the palindromes it finds must
-    reproduce the palindrome stream item for item.
+    differs is searched for its first stray mask, which fails the order
+    with no check counted. A stream that ends early or runs past the walk
+    leaves an unequal chunk, so it fails too. Only a chunk equal to the
+    walk's is tallied, by `_chunk_tallies`, which reads the walk's layout.
     """
     prime = 0
-    scanned_pals: list[tuple[int, ...]] = []
+    pals: list[tuple[int, ...]] = []
     words, walk = counting._words(n, "compositions"), _successor_chunks(n)
     total = count_compositions(n)
     # One chunk past the last mask, so that a stream running past the walk is read.
@@ -350,11 +362,112 @@ def _count_oracles(n: int) -> Checks:
             i, c, w = next((i, c, w) for i, (c, w) in enumerate(zip_longest(chunk, want)) if c != w)
             m = start + i if start + i < total else None  # None: past the last mask
             yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the walk {_spelled(w)}"
-            return
-        coprime, pals = _chunk_tallies(chunk)
+            return None
+        coprime, found = _chunk_tallies(chunk)
         prime += coprime
-        scanned_pals += pals
-    yield total, None
+        pals += found
+    return prime, pals
+
+
+def _mirror_table(n: int, p: int, heads: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Class p's heads that begin a palindrome of n, under the key a block's rest must mirror.
+
+    A word head + rest of class p has sum(rest) = n - p. For 2p <= n, a
+    palindrome's head is the reversal of its rest's suffix of sum p, so
+    each head is kept under its reversal. For 2p > n, the reversal of its
+    rest is the head's prefix of sum n - p, and the rest of the head is a
+    palindrome: such a head is kept under that prefix, in mask order.
+    """
+    if 2 * p <= n:
+        return {h[::-1]: [h] for h in heads}
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for h in heads:
+        sums = list(accumulate(h))
+        if n - p in sums:
+            cut = sums.index(n - p) + 1
+            if h[cut:] == h[cut:][::-1]:
+                table.setdefault(h[:cut], []).append(h)
+    return table
+
+
+def _class_tallies(n: int) -> tuple[int, list[tuple[int, ...]]] | None:
+    """The coprime words of n and its palindromes in order, a boundary class at a time; None if a block strays.
+
+    The kernel's composition blocks (pieces, rest) are read in lockstep
+    with `_walk_blocks(n, k)`, for the kernel's k. A block passes when
+    its rest is the walk's and its pieces are the walk's heads: compared
+    element by element the first time; after that a pieces tuple is
+    accepted when it is the very tuple accepted for its class, which, as
+    tuples are immutable, still holds the same words. A block missing,
+    extra or different gives None before the walk carries past it.
+
+    The tallies read the walk's side only. A word's gcd is gcd(d, g), with
+    d its head's gcd and g its rest's, so a class's coprime count under g
+    is read once per distinct (p, g) from a Counter of its heads' gcds.
+    A palindrome of class p is a head of its `_mirror_table` followed by
+    the rest: for 2p <= n the head kept under the rest's suffix of sum p,
+    when the rest before that suffix is a palindrome, so a block holds at
+    most one; for 2p > n the heads kept under the reversed rest.
+    """
+    k = min(counting._LOW_BITS, n - 1)
+    kernel = counting._listed(n, "compositions").blocks(n, "compositions", counting._TUPLES)
+    classes: dict[int, tuple] = {}  # p -> (accepted pieces, head gcd Counter, mirror table, counts by g)
+    prime, pals = 0, []
+    for block, walked in zip_longest(kernel, _walk_blocks(n, k)):
+        if block is None or walked is None:
+            return None
+        (pieces, rest), (p, heads, want) = block, walked
+        if rest != want:
+            return None
+        seen = classes.get(p)
+        if seen is None or seen[0] is not pieces:
+            if pieces != heads:
+                return None
+            seen = classes[p] = pieces, Counter(starmap(math.gcd, heads)), _mirror_table(n, p, heads), {}
+        _, gcds, table, counts = seen
+        g = math.gcd(*rest)
+        coprime = counts.get(g)
+        if coprime is None:
+            coprime = counts[g] = sum(c for d, c in gcds.items() if math.gcd(d, g) == 1)
+        prime += coprime
+        if 2 * p <= n:
+            cut, tail = len(rest), 0  # rest[cut:] is the suffix, of sum tail
+            while tail < p:
+                cut -= 1
+                tail += rest[cut]
+            found = table.get(rest[cut:]) if tail == p else None
+            middle = rest[:cut]
+            if found and middle == middle[::-1]:
+                pals.append(found[0] + rest)
+        else:
+            found = table.get(rest[::-1])
+            if found:
+                pals += map(add, found, repeat(rest))
+    return prime, pals
+
+
+# The count suite compares and tallies orders from here up a boundary class at
+# a time; every order below runs the per-word route, the class route's oracle.
+_BY_CLASS_FROM = 17
+
+
+def _count_oracles(n: int) -> Checks:
+    """Closed-form counts equal the lengths of the enumerated families.
+
+    Every composition of n the kernel lists must be the successor walk's
+    word at the same mask before the coprime words are counted and the
+    palindromes found, from the walk's side. From n = _BY_CLASS_FROM the
+    comparison and the tallies run one boundary class at a time
+    (`_class_tallies`); below it, and at any order where a block strays,
+    mask by mask from mask 0 (`_word_tallies`), which names the first
+    stray mask. The palindromes found must reproduce the palindrome
+    stream item for item.
+    """
+    tallies = _class_tallies(n) if n >= _BY_CLASS_FROM else None
+    if tallies is None:
+        tallies = yield from _word_tallies(n)
+    prime, scanned_pals = tallies
+    yield count_compositions(n), None
     if prime != count_prime_compositions(n):
         yield 0, f"n={n}: {prime} coprime words enumerated vs {count_prime_compositions(n)} counted"
     if n < 2:

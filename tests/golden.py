@@ -12,7 +12,9 @@ cases in process through `cli.main` (tests/test_cli.py).
 
 The cases: each `list` family at n = 1..16 in text and JSON, with no
 limit and with a --limit at the edge of a kernel block (limit_at_an_edge);
-the README's CLI examples; and `verify --max-n 9` with 1 and 2 workers.
+the README's CLI examples; `verify --max-n 9` with 1 and 2 workers; and
+the child-only `verify` runs at --max-n 19 with 1 and 2 workers and at
+the default ceilings with 2.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ FAMILIES = (
 )
 DENSE = ("compositions", "prime-compositions", "connection-sets")
 # Cases that take about a second alone, which Tier-1 leaves to --check.
-CHILD_ONLY = (["verify"],)
+CHILD_ONLY = (
+    ["verify"],
+    ["verify", "--max-n", "19", "--workers", "1"],
+    ["verify", "--max-n", "19", "--workers", "2"],
+    ["verify", "--workers", "2"],
+)
 
 # The README's CLI examples, the piped one left out, with its exit-code examples.
 README = (
@@ -94,6 +101,7 @@ def cases() -> list[list[str]]:
                 argvs += [base, base + ["--limit", str(limit_at_an_edge(family, n))]]
     argvs += [list(argv) for argv in README]
     argvs += [["verify", "--max-n", "9", "--workers", w] for w in ("1", "2")]
+    argvs += [argv for argv in CHILD_ONLY if argv not in argvs]
     return argvs
 
 

@@ -6,7 +6,7 @@ import math
 import pathlib
 import re
 import tracemalloc
-from itertools import chain, groupby, starmap
+from itertools import accumulate, chain, groupby, starmap
 
 import pytest
 
@@ -237,6 +237,60 @@ def table_row_6_off_by_one(max_n):
     return (row[:3] + (row[3] + 1,) + row[4:] if row[0] == 6 else row for row in DECIMAL_ROWS(max_n))
 
 
+LISTED = counting._listed
+
+
+def composition_blocks_edited(edit):
+    """A `_listed` whose compositions come as edit(the kernel's blocks as a list), at every order.
+
+    Both of the count suite's routes read the blocks through it: the class
+    route directly, the per-word route through `_words`.
+    """
+
+    def listed(n, family):
+        entry = LISTED(n, family)
+        if family != "compositions":
+            return entry
+        return entry._replace(blocks=lambda *args: iter(edit(list(entry.blocks(*args)))))
+
+    return listed
+
+
+def second_half_class_3_word_reversed(blocks):
+    """Deliberately broken blocks: class 3 of the second high half is a fresh tuple whose head 1,2 reads 2,1.
+
+    From n = 12 a high half has 11 classes, so this is block 14; at n = 17
+    it moves mask 1029's word.
+    """
+    pieces, rest = blocks[14]
+    blocks[14] = (pieces[:1] + (pieces[1][::-1],) + pieces[2:], rest)
+    return blocks
+
+
+def last_block_one_word_short(blocks):
+    """Deliberately broken blocks: the last block loses its last piece, so the last mask has no word."""
+    pieces, rest = blocks[-1]
+    return blocks[:-1] + [(pieces[:-1], rest)]
+
+
+def one_block_past_the_last_mask(blocks):
+    """Deliberately broken blocks: the first block, the word of mask 0, comes again after the last."""
+    return blocks + blocks[:1]
+
+
+def order_11_walk_one_word_short(n):
+    """Deliberately broken oracle: the order-11 walk, whose words head the class route's classes, drops its last word."""
+    return walk_one_word_short(n) if n == 11 else SUCCESSOR_WORDS(n)
+
+
+MIRROR_TABLE = verify._mirror_table
+
+
+def mirror_table_without_the_heavy_classes(n, p, heads):
+    """Deliberately broken tally: a class heavier than its rest (2p > n) finds no palindrome."""
+    return MIRROR_TABLE(n, p, heads) if 2 * p <= n else {}
+
+
 def untimed(results):
     """The results with their seconds dropped, so that runs compare by what they found."""
     return [r._replace(seconds=None) for r in results]
@@ -409,6 +463,62 @@ class TestFaultInjection:
         assert ranged("count formulas vs enumeration", 1, 9).passed
         result = ranged("count formulas vs enumeration", 1, 20)
         assert (result.checked, result.counterexample) == (checks, counterexample)
+
+    @pytest.mark.parametrize(
+        "owner,attr,fault,checks,counterexample",
+        [
+            (counting, "_low_classes", low_boundary_shifted, 0, "n=17, mask 3: the kernel gives 1,1,16, the walk 1,1,15"),
+            (
+                counting, "_listed", composition_blocks_edited(second_half_class_3_word_reversed),
+                0, "n=17, mask 1029: the kernel gives 2,1,8,6, the walk 1,2,8,6",
+            ),
+            (
+                counting, "_listed", composition_blocks_edited(last_block_one_word_short),
+                0, "n=17, mask 65535: the kernel gives None, the walk " + ",".join(["1"] * 17),
+            ),
+            (
+                counting, "_listed", composition_blocks_edited(one_block_past_the_last_mask),
+                0, "n=17, mask None: the kernel gives 17, the walk None",
+            ),
+            # The walk of every order one short: order 11 heads the classes, order 9 the chunks.
+            (verify, "_successor_words", walk_one_word_short, 0, "n=17, mask 255: the kernel gives 1,1,1,1,1,1,1,1,9, the walk None"),
+            # Only the class route reads order 11, so the per-word route checks the kernel, and passes.
+            (verify, "_successor_words", order_11_walk_one_word_short, 2**16, None),
+        ],
+    )
+    def test_a_stray_block_at_17_reruns_the_per_word_route_from_mask_0(
+        self, owner, attr, fault, checks, counterexample, monkeypatch
+    ):
+        # n = 17 is the first order the class route reads; a block that strays there
+        # is named as the per-word route names it, with no check counted.
+        monkeypatch.setattr(owner, attr, fault)
+        result = ranged("count formulas vs enumeration", 17, 17)
+        assert (result.passed, result.checked, result.counterexample) == (counterexample is None, checks, counterexample)
+        monkeypatch.setattr(verify, "_class_tallies", lambda n: None)
+        assert untimed([result]) == untimed([ranged("count formulas vs enumeration", 17, 17)])
+
+    def test_a_class_tally_without_the_heavy_classes_palindromes_fails_at_17(self, monkeypatch):
+        # Classes with 2p > n first meet the class route at n = 17 (classes 9 and 10);
+        # the per-word route below it never reads the mirror table.
+        monkeypatch.setattr(verify, "_mirror_table", mirror_table_without_the_heavy_classes)
+        result = ranged("count formulas vs enumeration", 1, 20)
+        assert (result.checked, result.counterexample) == (
+            2**17 - 1, "n=17: palindrome stream gives 8,1,8 where the scan gives 6,5,6"
+        )
+
+    def test_the_count_suite_reads_classes_from_17_and_words_below(self, monkeypatch):
+        # No silent fallback: with the per-word route gone, every order from 17 to
+        # the suite's ceiling still passes, and with the class route gone every
+        # order below 17 does.
+        word_tallies = verify._word_tallies
+        monkeypatch.setattr(verify, "_word_tallies", None)
+        for n in range(17, 21):
+            result = verify._run_order("count", verify._count_oracles, n)
+            assert (result.passed, result.checked) == (True, 2 ** (n - 1)), result
+        monkeypatch.setattr(verify, "_word_tallies", word_tallies)
+        monkeypatch.setattr(verify, "_class_tallies", None)
+        result = ranged("count formulas vs enumeration", 1, 16)
+        assert (result.passed, result.checked) == (True, 2**16 - 1)
 
     def test_a_swap_in_the_second_kernel_block_names_its_first_mask(self, monkeypatch):
         # n = 12 has two kernel blocks of 2^10 words; the chunk that differs is
@@ -865,6 +975,20 @@ class TestUnits:
         for chunk in verify._successor_chunks(n):
             want = (list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w == w[::-1]])
             assert verify._chunk_tallies(chunk) == want
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_class_tallies_equal_the_per_word_tallies(self, n):
+        # The per-word gcd and the full palindrome scan over the walk's chunks stay the class route's oracle.
+        prime, pals = 0, []
+        for chunk in verify._successor_chunks(n):
+            prime += list(starmap(math.gcd, chunk)).count(1)
+            pals += [w for w in chunk if w == w[::-1]]
+        assert verify._class_tallies(n) == (prime, pals)
+        # A palindrome's class is its largest prefix sum of at most k. Both mirror
+        # branches find some from n = 3 to 19; from 20 up no class outweighs its rest.
+        k = min(counting._LOW_BITS, n - 1)
+        heavy = {2 * max(s for s in accumulate(w, initial=0) if s <= k) > n for w in pals}
+        assert heavy == ({False, True} if 3 <= n <= 19 else {False})
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_mask_chunks_cut_the_per_mask_rule_every_2_to_the_8_masks(self, n):
