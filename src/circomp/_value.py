@@ -21,6 +21,10 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+# The one element type the value classes accept, tested as
+# ``INTS.issuperset(map(type, items))``; built once, not once per value.
+INTS = frozenset((int,))
+
 
 class Value:
     """An immutable record of the fields named in ``_fields``.

@@ -37,7 +37,8 @@ def prefix_sum_set(composition: Composition) -> ConnectionSet:
     Inverse of :func:`gap_composition`; the final part is recovered as
     the wrap-around gap, so it contributes no element.
     """
-    return ConnectionSet(composition.total, tuple(accumulate(composition.parts[:-1], initial=0)))
+    parts = composition.parts
+    return ConnectionSet(sum(parts), tuple(accumulate(parts[:-1], initial=0)))
 
 
 def connected_set_of(palindrome: Composition) -> ConnectionSet:

@@ -7,7 +7,11 @@ closed under negation the arcs pair up and the structure is an
 undirected circulant graph. Connectivity is arithmetic in the set (the
 set generates Z_n iff its gcd together with n is 1), but an explicit
 traversal is kept alongside the gcd criterion so either can check the
-other.
+other. The traversal holds the reached vertices as bits of one integer
+and closes them under each step by path doubling: adding s, then 2s, 4s,
+... reaches every multiple of s in about log2(n) rounds, and as steps in
+Z_n commute, closing under one step after another reaches the end of
+every walk.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from operator import lt
 from collections.abc import Iterable, Iterator
 
-from ._value import Value
+from ._value import INTS, Value
 
 
 class ConnectionSet(Value):
@@ -32,7 +36,7 @@ class ConnectionSet(Value):
             raise ValueError(f"modulus must be an integer, got {modulus!r}")
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        if not {int}.issuperset(map(type, elems)):
+        if not INTS.issuperset(map(type, elems)):
             raise ValueError(f"elements must be integers: {elems}")
         if not elems or elems[0] != 0:
             raise ValueError(f"connection set must contain 0: {elems}")
@@ -70,7 +74,7 @@ class ConnectionSet(Value):
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         listed = tuple(members)
-        if not {int}.issuperset(map(type, listed)):
+        if not INTS.issuperset(map(type, listed)):
             raise ValueError(f"elements must be integers: {members!r}")
         reduced = sorted({m % modulus for m in listed})
         if not reduced or reduced[0] != 0:
@@ -88,6 +92,8 @@ class ConnectionSet(Value):
         is symmetric iff they pair up end to end into sums of n.
         """
         n, rest = self.modulus, self.elements[1:]
+        if rest and rest[0] + rest[-1] != n:  # the outermost pair: most sets fail it
+            return False
         return all(a + b == n for a, b in zip(rest, reversed(rest)))
 
     def gcd(self) -> int:
@@ -182,21 +188,29 @@ class CirculantDigraph(Value):
         return self._reaches_all(self.steps) and self._reaches_all(tuple(-s for s in self.steps))
 
     def _reaches_all(self, offsets: tuple[int, ...]) -> bool:
-        """Walk from 0 by the given offsets; True iff the walk reaches every vertex."""
+        """Walk from 0 by the given offsets; True iff the walk reaches every vertex.
+
+        The reached vertices are the bits of an n-bit integer, and a step
+        by s rotates it. For each offset s in turn, the reached set R takes
+        R | (R rotated by s), then s doubles mod n, until R stops growing:
+        after j rounds R holds R_0 + i * s for every i < 2^j, so a round that
+        adds nothing leaves R closed under s. A set closed under one offset
+        stays closed as the later ones are added, since steps commute in
+        Z_n, so at the end R is closed under every offset: it holds the end
+        of every walk from 0. No gcd is taken, so the walk stays an
+        oracle for `is_connected_by_gcd`.
+        """
         n = self.order
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            i = stack.pop()
-            for s in offsets:
-                j = (i + s) % n
-                if not seen[j]:
-                    seen[j] = 1
-                    count += 1
-                    stack.append(j)
-        return count == n
+        full = (1 << n) - 1
+        reached = 1
+        for s in offsets:
+            s %= n
+            while True:
+                grown = reached | ((reached << s | reached >> (n - s)) & full)
+                if grown == reached:
+                    break
+                reached, s = grown, 2 * s % n
+        return reached == full
 
 
 # The slot setters of the fields: they store past Value.__setattr__, which refuses assignment.

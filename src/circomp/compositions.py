@@ -13,7 +13,7 @@ import math
 from itertools import islice
 from operator import eq
 
-from ._value import Value
+from ._value import INTS, Value
 
 
 class Composition(Value):
@@ -26,7 +26,7 @@ class Composition(Value):
         parts = tuple(parts)
         if not parts:
             raise ValueError("composition needs at least one part")
-        if not ({int}.issuperset(map(type, parts)) and min(parts) > 0):
+        if not (INTS.issuperset(map(type, parts)) and min(parts) > 0):
             raise ValueError(f"parts must be positive integers: {parts}")
         _set_parts(self, parts)
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Generator, Iterable, Iterator
 from functools import partial
 from itertools import accumulate, chain, islice, repeat, starmap, zip_longest
-from operator import add
+from operator import add, lt
 
 from . import counting
 from .compositions import Composition
@@ -118,10 +119,14 @@ def _walk_blocks(n: int, k: int) -> Iterator[tuple[int, tuple, tuple[int, ...]]]
     this half's last one. Class p's heads are one tuple in every half.
     The heads come only from `_successor_words`, so the route stays
     independent of the kernel, and no step loops over the bits of a mask.
+    A walk at order k + 1 that ends early leaves a class short of its
+    2^(p-1) heads: the blocks stop after that class in the first half,
+    so no carry reads a word of the wrong mask.
     """
     words = _successor_words(k + 1)
     next(words, None)  # mask 0's word: each high half's first word takes its place
     heads = [((),)] + [tuple(w[:-1] for w in islice(words, 1 << (p - 1))) for p in range(1, k + 1)]
+    short = next((p for p, top in enumerate(heads) if p and len(top) < 1 << (p - 1)), None)
     word = (n,)
     for m in range(0, 1 << (n - 1), 1 << k):  # m: the high half's first mask
         if m:
@@ -129,6 +134,8 @@ def _walk_blocks(n: int, k: int) -> Iterator[tuple[int, tuple, tuple[int, ...]]]
         a, rest = word[0], word[1:]
         for p, top in enumerate(heads):
             yield p, top, (a - p,) + rest
+            if p == short:
+                return
 
 
 def _successor_chunks(n: int) -> Iterator[list[tuple[int, ...]]]:
@@ -273,21 +280,115 @@ def _connectivity(n: int) -> Checks:
             yield 1, None
 
 
+# The scaling suite and the symmetric-generator scan read the kernel's blocks
+# from the first order whose kernel has two high halves; below it, and for a
+# block that strays, they run their per-word routes, the class routes' oracles.
+_SCANS_BY_CLASS_FROM = counting._LOW_BITS + 2
+
+
+def _symmetric_generator(n: int, t: tuple[int, ...]) -> bool:
+    """Whether the raw element tuple t is a symmetric set that generates Z_n.
+
+    A set is symmetric iff its nonzero elements, reversed, are n minus
+    each, and it generates Z_n iff gcd(n, *elements) is 1. A set whose
+    first and last nonzero elements do not sum to n fails the first test,
+    so no tuple is built for it.
+    """
+    return (
+        (len(t) == 1 or t[1] + t[-1] == n)
+        and t[:0:-1] == tuple(map(n.__sub__, t[1:]))
+        and math.gcd(n, *t) == 1
+    )
+
+
+def _scanned_generators(n: int, tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The tuples that are symmetric generating sets of Z_n, tested one by one."""
+    return filter(partial(_symmetric_generator, n), tuples)
+
+
 def _symmetric_generators(n: int) -> Iterator[tuple[int, ...]]:
     """The symmetric sets that generate Z_n, as raw element tuples in mask order.
 
     A scan of the kernel's tuples of all 2^(n-1) connection sets, with no
-    tuple wrapped: a set is symmetric iff its nonzero elements, reversed,
-    are n minus each, and it generates Z_n iff gcd(n, *elements) is 1.
-    A set whose first and last nonzero elements do not sum to n fails the
-    first test, so it is dropped before any tuple is built for it.
+    tuple wrapped. Below _SCANS_BY_CLASS_FROM every tuple is tested
+    (`_scanned_generators`); from there a boundary class at a time
+    (`_mirrored_generators`).
     """
-    return (
-        t for t in counting._words(n, "connection_sets")
-        if (len(t) == 1 or t[1] + t[-1] == n)
-        and t[:0:-1] == tuple(map(n.__sub__, t[1:]))
-        and math.gcd(n, *t) == 1
-    )
+    if n < _SCANS_BY_CLASS_FROM:
+        return _scanned_generators(n, counting._words(n, "connection_sets"))
+    return _mirrored_generators(n)
+
+
+def _generator_table(n: int, p: int, pieces: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]] | None:
+    """A class's pieces that can begin a symmetric set of Z_n, under the key its rest must give; None off the class shape.
+
+    The class shape: 0 < p < n and every piece starts at 0 and stays
+    below p, or p = 0 and the one piece is empty. A set piece + rest then has
+    the nonzero elements A + R, with A = piece[1:] below p and R the
+    rest's nonzero elements, all at least p. Negation swaps (0, p) with
+    (n - p, n). For 2p <= n the set is symmetric iff R's elements above
+    n - p are n minus A reversed and R's others mirror each other, so
+    each piece is kept under n minus its reversed nonzero elements; two
+    equal pieces are off the shape. For 2p > n, R's negation lies at or
+    below n - p: the set is symmetric iff A's leading elements up to
+    n - p are n minus R reversed and A's others, in (n - p, p), mirror
+    each other. A piece whose others mirror is kept under those leading
+    elements, in mask order. They are found by bisection, which needs
+    only that they lead, as they do in any symmetric set.
+    """
+    if 0 < p < n:
+        if {piece[:1] for piece in pieces} != {(0,)} or max(map(max, pieces)) >= p:
+            return None
+    elif p or pieces != ((),):
+        return None
+    if 2 * p <= n:
+        table = {tuple(map(n.__sub__, piece[:0:-1])): [piece] for piece in pieces}
+        return table if len(table) == len(pieces) else None
+    table = {}
+    for piece in pieces:
+        cut = bisect_right(piece, n - p)
+        middle = piece[cut:]
+        if middle[::-1] == tuple(map(n.__sub__, middle)):
+            table.setdefault(piece[1:cut], []).append(piece)
+    return table
+
+
+def _mirrored_generators(n: int) -> Iterator[tuple[int, ...]]:
+    """The symmetric generating sets of Z_n, a boundary class of the kernel's sets at a time.
+
+    Each block (pieces, rest) has p = rest[0]. Its class's
+    `_generator_table` is built once per pieces tuple and p. For 2p <= n,
+    the rest's nonzero elements up to n - p must mirror each other, and
+    those above it are the key; for 2p > n the key is n minus the
+    reversed rest. Every set found is still tested in full by
+    `_symmetric_generator`. A block off the class shape, a piece that
+    does not start at 0 or reaches p, or a rest that does not rise from
+    p, is scanned member by member.
+    """
+    is_generator = partial(_symmetric_generator, n)
+    tables: dict[int, tuple] = {}  # id(pieces) -> (pieces, p, table), holding pieces keeps its id
+    for pieces, rest in counting._listed(n, "connection_sets").blocks(n, "connection_sets", counting._TUPLES):
+        table = None
+        if rest and all(map(lt, rest, rest[1:])):  # the rest rises from p
+            p = rest[0]
+            seen = tables.get(id(pieces))
+            if seen is None or seen[0] is not pieces or seen[1] != p:
+                seen = tables[id(pieces)] = pieces, p, _generator_table(n, p, pieces)
+            table = seen[2]
+        if table is None:
+            yield from _scanned_generators(n, map(add, pieces, repeat(rest)))
+            continue
+        if 2 * p <= n:
+            nonzero = rest if p else rest[1:]
+            cut = bisect_right(nonzero, n - p)
+            middle = nonzero[:cut]
+            if middle[::-1] != tuple(map(n.__sub__, middle)):
+                continue
+            found = table.get(nonzero[cut:])
+        else:
+            found = table.get(tuple(map(n.__sub__, rest[::-1])))
+        if found:
+            yield from filter(is_generator, map(add, found, repeat(rest)))
 
 
 def _palindrome_bijection(n: int) -> Checks:
@@ -514,7 +615,24 @@ def _scaling_bijection(n: int) -> Checks:
     Division keeps mask bits d-1, 2d-1, ..., so it preserves mask order: in one
     pass, each kernel tuple of gcd d, divided by d, must be the next tuple of the
     prime-compositions stream of n/d. No word is wrapped in an object on either side.
+    From _SCANS_BY_CLASS_FROM the pass reads the kernel's blocks (`_scaling_classes`);
+    below it, and at any order where a block strays, word by word from mask 0
+    (`_scaling_words`), which names the first stray word. Each gcd class's size is
+    then held to the closed form.
     """
+    sizes = _scaling_classes(n) if n >= _SCANS_BY_CLASS_FROM else None
+    if sizes is None:
+        sizes = yield from _scaling_words(n)
+    else:
+        yield sum(sizes.values()), None
+    # Sized by the closed form, so a class the scan misses, or a word both sides drop, fails.
+    for d, size in sizes.items():
+        if size != count_prime_compositions(n // d):
+            yield 0, f"n={n}, d={d}: {size} words vs {count_prime_compositions(n // d)} counted"
+
+
+def _scaling_words(n: int) -> Generator[tuple[int, str | None], None, dict[int, int]]:
+    """The scaling pass one kernel word at a time; returns the words read per gcd d."""
     targets = {d: counting._words(n // d, "prime_compositions") for d in divisors(n)}
     sizes = dict.fromkeys(targets, 0)
     for w in counting._words(n, "compositions"):
@@ -526,10 +644,51 @@ def _scaling_bijection(n: int) -> Checks:
         yield 1, None if image == want else (
             f"n={n}, d={d}: word {_spelled(w)} maps to {_spelled(image)}, not {_spelled(want)}"
         )
-    # Sized by the closed form, so a class the scan misses, or a word both sides drop, fails.
-    for d, size in sizes.items():
-        if size != count_prime_compositions(n // d):
-            yield 0, f"n={n}, d={d}: {size} words vs {count_prime_compositions(n // d)} counted"
+    return sizes
+
+
+def _scaling_classes(n: int) -> dict[int, int] | None:
+    """The scaling pass a boundary class at a time: the words read per gcd d; None if a block strays.
+
+    The kernel's composition blocks (pieces, rest) are read in lockstep
+    with its prime-composition blocks of n. A word's gcd is gcd(g, *piece)
+    with g = gcd(rest), so per pieces tuple and g the pieces are split
+    once into the coprime ones and the others, each with its d. A block
+    with coprime pieces must equal the prime stream's next block: the
+    rest by equality, the pieces element by element the first time and,
+    after that, by identity with the tuple accepted for that class and g.
+    Each other word, divided by its d, must be the next tuple of the
+    prime-compositions stream of n/d. A block missing, extra or different,
+    or a d that does not divide n, gives None before any check is counted.
+    """
+    primes = counting._listed(n, "prime_compositions").blocks(n, "prime_compositions", counting._TUPLES)
+    targets = {d: counting._words(n // d, "prime_compositions") for d in divisors(n)}
+    sizes = dict.fromkeys(targets, 0)
+    # (id(pieces), g) -> [pieces, coprime pieces, (d, piece) for the others, accepted prime pieces]
+    classes: dict[tuple[int, int], list] = {}
+    for pieces, rest in counting._listed(n, "compositions").blocks(n, "compositions", counting._TUPLES):
+        g = math.gcd(*rest)
+        seen = classes.get((id(pieces), g))
+        if seen is None or seen[0] is not pieces:
+            ds = [math.gcd(g, *piece) for piece in pieces]
+            coprime = tuple(piece for d, piece in zip(ds, pieces) if d == 1)
+            others = [(d, piece) for d, piece in zip(ds, pieces) if d != 1]
+            seen = classes[id(pieces), g] = [pieces, coprime, others, None]
+        _, coprime, others, accepted = seen
+        if coprime:
+            block = next(primes, None)
+            if block is None or block[1] != rest:
+                return None
+            if block[0] is not accepted:
+                if block[0] != coprime:
+                    return None
+                seen[3] = block[0]
+            sizes[1] += len(coprime)
+        for d, piece in others:
+            if d not in targets or tuple(p // d for p in piece + rest) != next(targets[d], None):
+                return None
+            sizes[d] += 1
+    return None if next(primes, None) is not None else sizes
 
 
 def _order_72(n: int) -> Checks:

@@ -67,6 +67,33 @@ def negated(s):
     return ConnectionSet(n, tuple(sorted((n - a) % n for a in s.elements)))
 
 
+def reaches_all(n, offsets):
+    """Whether a depth-first walk from 0 by the offsets, one arc at a time, reaches all of Z_n."""
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        i = stack.pop()
+        for s in offsets:
+            j = (i + s) % n
+            if not seen[j]:
+                seen[j] = 1
+                count += 1
+                stack.append(j)
+    return count == n
+
+
+def walked_connected(g):
+    """Weak connectivity of the digraph by the arc-at-a-time walk, each arc followed both ways."""
+    return reaches_all(g.order, g.steps + tuple(-s for s in g.steps))
+
+
+def walked_strongly_connected(g):
+    """Strong connectivity by the arc-at-a-time walk: 0 reaches every vertex, and every vertex reaches 0."""
+    return reaches_all(g.order, g.steps) and reaches_all(g.order, tuple(-s for s in g.steps))
+
+
 def arc_rule(g):
     """The arcs i -> i + s mod n, sorted: the definition, with no runs."""
     n = g.order

@@ -11,7 +11,9 @@ from circomp.circulant import (
     parse_connection_set,
 )
 from circomp.counting import count_aperiodic_palindromes
-from references import all_sets, arc_rule, edge_rule, many_step_sets, negated
+from references import (
+    all_sets, arc_rule, edge_rule, many_step_sets, negated, walked_connected, walked_strongly_connected,
+)
 
 
 def mirror_condition(s):
@@ -239,6 +241,42 @@ class TestConnectivity:
         for s in all_sets(n):
             g = build_digraph(s)
             assert g.is_connected() == g.is_strongly_connected()
+
+
+class TestTraversalOracle:
+    """Path doubling against the arc-at-a-time walk of tests/references.py."""
+
+    def check(self, s):
+        g = build_digraph(s)
+        assert (g.is_connected(), g.is_strongly_connected()) == (walked_connected(g), walked_strongly_connected(g)), s
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_set_to_12(self, n):
+        for s in all_sets(n):
+            self.check(s)
+
+    def test_random_sets_with_many_steps_to_300(self):
+        for s in many_step_sets(12, seed=11):
+            self.check(s)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1000, 65536, 200_000])
+    def test_rings(self, n):
+        self.check(ConnectionSet(n, (0, 1)))
+        self.check(ConnectionSet(n, (0, n - 1)))
+
+    @pytest.mark.parametrize(
+        "n,steps",
+        [
+            (200_000, (5, 77777)),  # connected: gcd(5, 77777, 200000) = 1, each step alone is not
+            (200_000, (2, 4)),  # two cosets
+            (200_000, (6, 10)),  # gcd 2 with n
+            (199_999, (3, 199_996)),  # a step and its negation
+            (131_072, (65_536, 98_304)),  # steps of order 2 and 4
+            (99_991, (1_234, 56_789)),  # n prime
+        ],
+    )
+    def test_two_step_sets(self, n, steps):
+        self.check(ConnectionSet(n, (0, *steps)))
 
 
 class TestNetworkxOracle:

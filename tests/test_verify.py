@@ -12,7 +12,7 @@ import pytest
 
 from circomp import cli, counting, verify
 from circomp.bijections import gap_composition, prefix_sum_set
-from circomp.circulant import ConnectionSet
+from circomp.circulant import CirculantDigraph, ConnectionSet
 from circomp.compositions import Composition
 from circomp.verify import (
     PUBLISHED_72_CONNECTED,
@@ -254,6 +254,71 @@ def composition_blocks_edited(edit):
         return entry._replace(blocks=lambda *args: iter(edit(list(entry.blocks(*args)))))
 
     return listed
+
+
+def blocks_edited(family, at, edit):
+    """A `_listed` whose `family` at order `at` comes as edit(the kernel's blocks as a list).
+
+    The class routes read the blocks through it directly, the per-word
+    routes through `_words`.
+    """
+
+    def listed(n, name):
+        entry = LISTED(n, name)
+        if (n, name) != (at, family):
+            return entry
+        return entry._replace(blocks=lambda *args: iter(edit(list(entry.blocks(*args)))))
+
+    return listed
+
+
+def last_half_class_3_word_reversed(blocks):
+    """Deliberately broken prime blocks: class 3 of the last high half is a fresh tuple whose word 1,2 reads 2,1.
+
+    The last high half's g is 1, so it keeps all 11 classes, and class 3 is
+    block -8. At n = 13 the same class and g were accepted in two halves
+    before it, so only an identity test, never a position, may pass it.
+    """
+    pieces, rest = blocks[-8]
+    blocks[-8] = (pieces[:1] + (pieces[1][::-1],) + pieces[2:], rest)
+    return blocks
+
+
+def last_half_class_5_missing(blocks):
+    """Deliberately broken prime blocks: class 5 of the last high half is gone."""
+    return blocks[:-6] + blocks[-5:]
+
+
+def last_half_class_1_piece_doubled(blocks):
+    """Deliberately broken set blocks: class 1 of the last high half has its one piece 0 twice.
+
+    At n = 12 that block holds the generator 0,1,11, which the flat scan then finds twice.
+    """
+    pieces, rest = blocks[-10]
+    blocks[-10] = (pieces + pieces, rest)
+    return blocks
+
+
+def class_5_rest_unsorted(blocks):
+    """Deliberately broken set blocks: class 5 of the first high half has the rest 5,2,3,9,10,7, not 5.
+
+    With its piece 0 that spells 0,5,2,3,9,10,7, whose nonzero elements pair
+    up into sums of 12, so the flat scan keeps it; a bisection of the
+    unsorted rest would cut it in the wrong place.
+    """
+    pieces, rest = blocks[5]
+    blocks[5] = (pieces, (5, 2, 3, 9, 10, 7))
+    return blocks
+
+
+def one_arc_per_offset(self, offsets):
+    """Deliberately broken traversal: a doubling that never doubles, so each offset adds one arc to each vertex reached."""
+    n = self.order
+    reached = 1
+    for s in offsets:
+        s %= n
+        reached |= (reached << s | reached >> (n - s)) & ((1 << n) - 1)
+    return reached == (1 << n) - 1
 
 
 def second_half_class_3_word_reversed(blocks):
@@ -547,6 +612,21 @@ class TestFaultInjection:
         }
         assert {r.name: (r.checked, r.counterexample) for r in results.values() if not r.passed} == want
 
+    def test_a_walk_one_word_short_fails_at_10_where_it_stops_not_with_an_error(self, monkeypatch):
+        # From n = 10 the walk is built from the order-9 walk's words, one short of
+        # mask 255's. The blocks stop at that short class rather than carry past it,
+        # so every suite fails at mask 255 or on its tally, and none raises.
+        monkeypatch.setattr(verify, "_successor_words", walk_one_word_short)
+        ones = ",".join(["1"] * 8)
+        want = {
+            "gap-word round trips": (2 * 256, f"n=10, mask 255: the gap word is {ones},2, the walk None"),
+            "count formulas vs enumeration": (0, f"n=10, mask 255: the kernel gives {ones},2, the walk None"),
+            "part-count refinement": (255, "n=10, k=2"),
+        }
+        for name, (checks, counterexample) in want.items():
+            result = ranged(name, 10, 10)
+            assert (result.passed, result.checked, result.counterexample) == (False, checks, counterexample), name
+
     def test_a_carry_into_chunk_2_one_low_fails_at_its_first_mask(self, monkeypatch):
         # The first carry between chunks runs at n = 10, past the matrix's max_n = 9,
         # and n = 11 is the first order with a chunk 2. Both suites name mask 512:
@@ -740,6 +820,7 @@ MUTANTS = {
         verify, "count_disconnected_compositions", lambda n: counting.count_disconnected_compositions(n) + 1
     ),
     "table row 6 off by one": (counting, "_decimal_rows", table_row_6_off_by_one),
+    "traversal that never doubles": (CirculantDigraph, "_reaches_all", one_arc_per_offset),
 }
 
 
@@ -817,6 +898,10 @@ class TestMutantMatrix:
         # Only the divisor-sum suite reads the table's sieve, comparing each row with count_row.
         divisor_sum = names.index("divisor-sum inversion identity")
         assert kills["table row 6 off by one"] == [i == divisor_sum for i in range(len(names))]
+        # Only the connectivity suite walks a digraph; a walk of one arc per offset
+        # misses vertices of a connected set from n = 4 on.
+        connectivity = names.index("connectivity oracle agreement")
+        assert kills["traversal that never doubles"] == [i == connectivity for i in range(len(names))]
 
     def test_a_wrong_disconnected_count_fails_the_order_72_line_with_its_figures(self, monkeypatch, capsys):
         monkeypatch.setattr(*MUTANTS["disconnected count off by one"])
@@ -1008,6 +1093,119 @@ class TestUnits:
         for name in KERNEL:
             monkeypatch.setattr(counting, name, None)
         assert sum(map(len, verify._mask_chunks(16))) == 2**15
+
+
+class TestScanClasses:
+    """The scaling suite and the symmetric-generator scan read the kernel's blocks from n = 12."""
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_symmetric_generators_equal_the_flat_scan(self, n):
+        flat = list(verify._scanned_generators(n, counting._words(n, "connection_sets")))
+        assert list(verify._symmetric_generators(n)) == flat
+        # A set's class is its largest element of at most k. Both mirror branches,
+        # 2p <= n and 2p > n, find generators from n = 12 to 19; from 20 up no
+        # class outweighs its rest.
+        k = min(counting._LOW_BITS, n - 1)
+        heavy = {2 * max(e for e in t if e <= k) > n for t in flat}
+        if n >= 12:
+            assert heavy == ({False, True} if n <= 19 else {False})
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_scaling_classes_give_the_per_word_sizes(self, n):
+        words = verify._scaling_words(n)
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                assert next(words) == (1, None)
+        assert verify._scaling_classes(n) == stop.value.value
+        assert stop.value.value == {d: counting.count_prime_compositions(n // d) for d in counting.divisors(n)}
+
+    @pytest.mark.parametrize(
+        "n,suite,owner,attr,fault,checks,counterexample",
+        [
+            (
+                12, "common-factor scaling bijection", counting, "_listed",
+                blocks_edited("prime_compositions", 12, last_half_class_3_word_reversed),
+                1030, "n=12, d=1: word 1,2,8,1 maps to 1,2,8,1, not 2,1,8,1",
+            ),
+            (
+                13, "common-factor scaling bijection", counting, "_listed",
+                blocks_edited("prime_compositions", 13, last_half_class_3_word_reversed),
+                3078, "n=13, d=1: word 1,2,8,1,1 maps to 1,2,8,1,1, not 2,1,8,1,1",
+            ),
+            (
+                12, "common-factor scaling bijection", counting, "_listed",
+                blocks_edited("prime_compositions", 12, last_half_class_5_missing),
+                1041, "n=12, d=1: word 5,6,1 maps to 5,6,1, not 6,5,1",
+            ),
+            # The per-word route never reads past the prime stream's last word, so an extra block passes.
+            (
+                12, "common-factor scaling bijection", counting, "_listed",
+                blocks_edited("prime_compositions", 12, lambda blocks: blocks + blocks[:1]), 2**11, None,
+            ),
+            (
+                12, "common-factor scaling bijection", counting, "_low_classes", low_boundary_shifted,
+                11, "n=12, d=1: word 2,2,9 maps to 2,2,9, not 1,1,2,8",
+            ),
+            (
+                12, "aperiodic palindrome bijection", counting, "_low_classes", low_boundary_shifted,
+                2, "n=12, set 12: 0,5,6,7: word 5,1,1,5 is not the next word of its class, 5,2,5",
+            ),
+        ],
+    )
+    def test_a_stray_block_gives_the_per_word_result(
+        self, n, suite, owner, attr, fault, checks, counterexample, monkeypatch
+    ):
+        unit = dict((name, fn) for name, fn, _ in SUITES)[suite]
+        monkeypatch.setattr(owner, attr, fault)
+        result = unit(n)
+        assert (result.passed, result.checked, result.counterexample) == (counterexample is None, checks, counterexample)
+        monkeypatch.setattr(verify, "_SCANS_BY_CLASS_FROM", 99)
+        assert untimed([result]) == untimed([unit(n)])
+
+    @pytest.mark.parametrize(
+        "owner,attr,fault",
+        [
+            # Pieces that reach their lowered p.
+            (counting, "_low_classes", low_boundary_shifted),
+            (counting, "_listed", blocks_edited("connection_sets", 12, last_half_class_1_piece_doubled)),
+            (counting, "_listed", blocks_edited("connection_sets", 12, class_5_rest_unsorted)),
+        ],
+    )
+    def test_a_block_off_the_class_shape_hides_no_symmetric_set(self, owner, attr, fault, monkeypatch):
+        # Such blocks are scanned set by set, and the scan finds what the flat scan finds.
+        monkeypatch.setattr(owner, attr, fault)
+        scanned = []
+        scan = verify._scanned_generators
+        monkeypatch.setattr(verify, "_scanned_generators", lambda n, tuples: scan(n, scanned.append(n) or tuples))
+        found = list(verify._symmetric_generators(12))
+        assert scanned and found == list(scan(12, counting._words(12, "connection_sets")))
+
+    @pytest.mark.parametrize("n,generator", [(23, (0, 11, 12)), (24, (0, 11, 13))])
+    def test_the_bijection_holds_where_class_0_first_holds_generators(self, n, generator):
+        # From n = 23 a set with no element in 1..10 can generate Z_n symmetrically;
+        # its class 0 keys on its rest without the rest's leading 0.
+        assert generator in verify._symmetric_generators(n)
+        result = verify._run_order("bijection", verify._palindrome_bijection, n)
+        assert (result.passed, result.checked) == (True, 2 * counting.count_aperiodic_palindromes(n))
+
+    def test_the_unpatched_kernel_takes_the_class_routes_from_12_and_the_per_word_routes_below(self, monkeypatch):
+        # No silent fallback: with both per-word routes gone, n = 12..16 still pass,
+        # and with both class routes gone, n = 1..11 do.
+        def run(first, last):
+            for n in range(first, last + 1):
+                result = verify._run_order("scaling", verify._scaling_bijection, n)
+                assert (result.passed, result.checked) == (True, 2 ** (n - 1)), result
+                if n > 1:
+                    result = verify._run_order("bijection", verify._palindrome_bijection, n)
+                    assert (result.passed, result.checked) == (True, 2 * counting.count_aperiodic_palindromes(n)), result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_scaling_words", None)
+            patch.setattr(verify, "_scanned_generators", None)
+            run(12, 16)
+        monkeypatch.setattr(verify, "_scaling_classes", None)
+        monkeypatch.setattr(verify, "_mirrored_generators", None)
+        run(1, 11)
 
 
 class TestImageMismatch:
