@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Generator, Iterable, Iterator
 from functools import partial
-from itertools import accumulate, chain, islice, repeat, starmap, zip_longest
+from itertools import accumulate, chain, compress, islice, repeat, starmap, zip_longest
 from operator import add, lt
 
 from . import counting
@@ -40,13 +40,20 @@ PUBLISHED_72_DISCONNECTED = 34_368_074_808
 
 
 # One suite's outcome. ceiling is the order a unit ran at, or a merged suite's
-# top order, failing or not; counterexample and detail are str or None.
+# top order, failing or not; counterexample and detail are str or None. seconds
+# is the time of the unit's checks; where `_one_pass` served a unit, the round
+# trips are charged its shared read, and each other suite its own checks.
 SuiteResult = namedtuple(
     "SuiteResult", ("name", "passed", "checked", "ceiling", "counterexample", "detail", "seconds")
 )
 
 
 Checks = Iterator[tuple[int, str | None]]
+
+
+# n -> `_one_pass(n)`, set by `run_suites` and its pool tasks, and None outside
+# them. Module state, because a SUITES entry takes n alone and may be wrapped.
+_passes: dict[int, dict | None] | None = None
 
 
 def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResult:
@@ -56,7 +63,16 @@ def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResul
     counterexample) at a failure, where the run stops; it may return a
     detail. A body that raises fails with the error as its counterexample,
     named by its type unless a library call rejected its input (ValueError).
+    Within `run_suites`, the first `_ONE_PASS` unit at order n runs
+    `_one_pass(n)`, and each such unit takes its passing result from it;
+    where the pass gave up, the unit runs its body.
     """
+    if _passes is not None and checks in _ONE_PASS:
+        if n not in _passes:
+            _passes[n] = _one_pass(n)
+        if _passes[n] is not None:
+            made, seconds = _passes[n][checks]
+            return SuiteResult(name, True, made, n, None, None, seconds)
     start, checked, counterexample, detail = time.perf_counter(), 0, None, None
     try:
         body = checks(n)
@@ -194,39 +210,53 @@ def _spelled(word: tuple[int, ...] | None) -> str:
     return "None" if word is None else ",".join(map(str, word))
 
 
-def _round_trips(n: int) -> Checks:
-    """Gap word and prefix-sum set invert each other, preserving part counts.
+def _trip_chunks(n: int) -> Iterator[tuple[range, list, list, list, list[Composition] | None]]:
+    """The round trips' three streams in lockstep, _CHUNK masks at a time, with the chunk's gap words if it passes at once.
 
-    Three streams are read in lockstep, _CHUNK masks at a time: the
-    block kernel's sets, the mask route's element tuples and the
-    successor walk's words. Each set must equal the mask route's, come
-    back from its gap word with n and its size kept, and that gap word
-    must be the walk's word at the same mask. The last two imply that
-    every walk word round-trips too, so the word is built once per mask.
-    A chunk passes at once when all of that holds for every mask in it,
-    the sets compared with the mask route before any gap word is built.
-    A chunk that differs anywhere is replayed mask by mask, so a stream
-    that strays, runs short or runs past the masks fails where it does.
+    Yields (masks, sets, tuples, words, gap words): the block kernel's
+    sets, the mask route's element tuples and the successor walk's words
+    at those masks, up to one chunk past the last mask, so that a stream
+    running past the masks is read. The gap words, one `gap_composition`
+    per set, are given when every set has modulus n and the mask route's
+    elements, comes back from its gap word with n and its size kept, and
+    has the walk's word at its mask as that gap word; else None. The sets
+    are compared with the mask route before any gap word is built.
     """
     total = count_compositions(n)
     sets = iter_family(n, "connection_sets")
     route = chain.from_iterable(_mask_chunks(n))
     walk = chain.from_iterable(_successor_chunks(n))
-    # One chunk past the last mask, so that a stream running past the masks is read.
     for start in range(0, total + 1, _CHUNK):
         chunk, tuples, words = (list(islice(stream, _CHUNK)) for stream in (sets, route, walk))
+        comps = None
         if all(s.modulus == n for s in chunk) and [s.elements for s in chunk] == tuples:
             comps = list(map(gap_composition, chunk))
             parts = [c.parts for c in comps]
-            if (
+            if not (
                 parts == words
                 and list(map(sum, parts)) == [n] * len(parts)
                 and list(map(len, parts)) == list(map(len, tuples))
                 and list(map(prefix_sum_set, comps)) == chunk
             ):
-                yield 2 * len(chunk), None
-                continue
-        masks = range(start, min(start + _CHUNK, total))
+                comps = None
+        yield range(start, min(start + _CHUNK, total)), chunk, tuples, words, comps
+
+
+def _round_trips(n: int) -> Checks:
+    """Gap word and prefix-sum set invert each other, preserving part counts.
+
+    Each set of the kernel must equal the mask route's, come back from
+    its gap word with n and its size kept, and that gap word must be the
+    successor walk's word at the same mask. The last two imply that every
+    walk word round-trips too, so the word is built once per mask. A
+    chunk of `_trip_chunks` that passes at once counts 2 checks per mask.
+    A chunk that differs anywhere is replayed mask by mask, so a stream
+    that strays, runs short or runs past the masks fails where it does.
+    """
+    for masks, chunk, tuples, words, comps in _trip_chunks(n):
+        if comps is not None:
+            yield 2 * len(chunk), None
+            continue
         for m, s, t, w in zip_longest(masks, chunk, tuples, words):
             # Unvalidated, so that a malformed route tuple is named at its mask.
             want = None if t is None else ConnectionSet._unchecked(n, t)
@@ -265,6 +295,48 @@ def _symmetry_palindrome(n: int) -> Checks:
     if streamed != scanned:
         stray = next((a, b) for a, b in zip_longest(streamed, scanned) if a != b)
         yield 0, f"n={n}: symmetric set stream gives {stray[0]} where the scan gives {stray[1]}"
+
+
+# The suites `_one_pass` checks together, in registry order: they are SUITES' first three.
+_ONE_PASS = (_round_trips, _gcd_preservation, _symmetry_palindrome)
+
+
+def _one_pass(n: int) -> dict[Callable[[int], Checks], tuple[int, float]] | None:
+    """The checks and seconds of each `_ONE_PASS` suite at order n, from one read of the kernel's sets; None on any doubt.
+
+    Every chunk of `_trip_chunks` must pass the round trips at once. Its
+    gap words are then held to the sets' gcds and their palindromicity to
+    the sets' symmetry, as the other two bodies hold them set by set, and
+    the symmetric sets are counted and compared with their stream at the
+    end. Any difference or error gives None, and each suite then runs its
+    own body, which names the counterexample. The round trips are charged
+    the shared read, and each other suite the time of its own checks.
+    """
+    clock = time.perf_counter
+    start, made, gcd_s, symmetry_s, symmetric = clock(), 0, 0.0, 0.0, []
+    try:
+        for _, chunk, _, _, comps in _trip_chunks(n):
+            t0 = clock()
+            if comps is None or [c.gcd() for c in comps] != [s.gcd() for s in chunk]:
+                return None
+            t1 = clock()
+            flags = [s.is_symmetric() for s in chunk]
+            if flags != [c.is_palindrome() for c in comps]:
+                return None
+            symmetric += compress(chunk, flags)
+            made += len(chunk)
+            gcd_s += t1 - t0
+            symmetry_s += clock() - t1
+        t1 = clock()
+        if len(symmetric) != count_palindromes(n):
+            return None
+        if n > 1 and list(iter_family(n, "symmetric_connection_sets")) != symmetric:
+            return None
+        symmetry_s += clock() - t1
+    except Exception:  # each body then meets the error again and reports it
+        return None
+    round_trips_s = clock() - start - gcd_s - symmetry_s
+    return dict(zip(_ONE_PASS, ((2 * made, round_trips_s), (made, gcd_s), (made, symmetry_s))))
 
 
 def _connectivity(n: int) -> Checks:
@@ -618,21 +690,30 @@ def _scaling_bijection(n: int) -> Checks:
     From _SCANS_BY_CLASS_FROM the pass reads the kernel's blocks (`_scaling_classes`);
     below it, and at any order where a block strays, word by word from mask 0
     (`_scaling_words`), which names the first stray word. Each gcd class's size is
-    then held to the closed form.
+    then held to the closed form, and the per-word route's target streams must
+    all have run out.
     """
     sizes = _scaling_classes(n) if n >= _SCANS_BY_CLASS_FROM else None
+    left: dict[int, tuple[int, ...] | None] = {}  # d -> a word left in its target stream
     if sizes is None:
-        sizes = yield from _scaling_words(n)
+        sizes, left = yield from _scaling_words(n)
     else:
         yield sum(sizes.values()), None
     # Sized by the closed form, so a class the scan misses, or a word both sides drop, fails.
     for d, size in sizes.items():
         if size != count_prime_compositions(n // d):
             yield 0, f"n={n}, d={d}: {size} words vs {count_prime_compositions(n // d)} counted"
+    for d, extra in left.items():
+        if extra is not None:
+            yield 0, f"n={n}, d={d}: the prime stream of {n // d} has the word {_spelled(extra)} left over"
 
 
-def _scaling_words(n: int) -> Generator[tuple[int, str | None], None, dict[int, int]]:
-    """The scaling pass one kernel word at a time; returns the words read per gcd d."""
+def _scaling_words(n: int) -> Generator[tuple[int, str | None], None, tuple[dict[int, int], dict]]:
+    """The scaling pass one kernel word at a time.
+
+    Returns the words read per gcd d and, per d, the first word left in
+    its target stream, or None.
+    """
     targets = {d: counting._words(n // d, "prime_compositions") for d in divisors(n)}
     sizes = dict.fromkeys(targets, 0)
     for w in counting._words(n, "compositions"):
@@ -644,7 +725,7 @@ def _scaling_words(n: int) -> Generator[tuple[int, str | None], None, dict[int, 
         yield 1, None if image == want else (
             f"n={n}, d={d}: word {_spelled(w)} maps to {_spelled(image)}, not {_spelled(want)}"
         )
-    return sizes
+    return sizes, {d: next(target, None) for d, target in targets.items()}
 
 
 def _scaling_classes(n: int) -> dict[int, int] | None:
@@ -659,7 +740,8 @@ def _scaling_classes(n: int) -> dict[int, int] | None:
     after that, by identity with the tuple accepted for that class and g.
     Each other word, divided by its d, must be the next tuple of the
     prime-compositions stream of n/d. A block missing, extra or different,
-    or a d that does not divide n, gives None before any check is counted.
+    a d that does not divide n, or a word left over in a stream of n/d
+    for d > 1 gives None before any check is counted.
     """
     primes = counting._listed(n, "prime_compositions").blocks(n, "prime_compositions", counting._TUPLES)
     targets = {d: counting._words(n // d, "prime_compositions") for d in divisors(n)}
@@ -688,7 +770,9 @@ def _scaling_classes(n: int) -> dict[int, int] | None:
             if d not in targets or tuple(p // d for p in piece + rest) != next(targets[d], None):
                 return None
             sizes[d] += 1
-    return None if next(primes, None) is not None else sizes
+    if next(primes, None) is not None or any(next(targets[d], None) is not None for d in targets if d > 1):
+        return None
+    return sizes
 
 
 def _order_72(n: int) -> Checks:
@@ -732,9 +816,11 @@ SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
 )
 
 
-def _run_unit(index: int, n: int) -> SuiteResult:
-    """Suite `index` at order n alone."""
-    return SUITES[index][1](n)
+def _run_units(n: int, indices: list[int]) -> list[SuiteResult]:
+    """A pool task: suites `indices` at order n, one `_one_pass` serving those it checks."""
+    global _passes
+    _passes = {}
+    return [SUITES[index][1](n) for index in indices]
 
 
 def _merge(units: Iterable[SuiteResult], ceiling: int) -> SuiteResult:
@@ -759,10 +845,14 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
     One worker runs each suite's units here in ascending n and stops the
     suite at its first failing order. More workers get the same units
     largest n first, so the long high orders start at once and the short
-    ones fill in behind them (Graham 1969). Results come back in
-    registry order regardless of completion order, so reports are
-    deterministic. No more workers start than there are suites.
+    ones fill in behind them (Graham 1969); the `_ONE_PASS` units of one
+    order go to a worker as one task. Either way one `_one_pass` per
+    order serves those units, its results held for this call only.
+    Results come back in registry order regardless of completion order,
+    so reports are deterministic. No more workers start than there are
+    suites.
     """
+    global _passes
     if max_n is not None and max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {max_n}")
     if workers < 1:
@@ -771,13 +861,26 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
         [ceiling] if name == _ORDER_72 else range(1, min(ceiling, max_n or ceiling) + 1)
         for name, _, ceiling in SUITES
     ]
-    run = _run_unit
     if workers > 1:
         # Imported here only: the pool's modules add about 18 ms to a fresh start.
         from concurrent.futures import ProcessPoolExecutor
 
-        units = sorted(((i, n) for i, ns in enumerate(orders) for n in ns), key=lambda u: (-u[1], u[0]))
+        tasks: dict[tuple[int, int], tuple[int, list[int]]] = {}  # (-n, first index) -> (n, indices)
+        for index, ns in enumerate(orders):
+            for n in ns:
+                tasks.setdefault((-n, 0 if index < len(_ONE_PASS) else index), (n, []))[1].append(index)
+        units = [tasks[key] for key in sorted(tasks)]
         with ProcessPoolExecutor(max_workers=min(workers, len(SUITES))) as pool:
-            done = dict(zip(units, pool.map(_run_unit, *zip(*units))))
+            done = {
+                (index, n): result
+                for (n, indices), results in zip(units, pool.map(_run_units, *zip(*units)))
+                for index, result in zip(indices, results)
+            }
         run = lambda index, n: done[index, n]
-    return [_merge((run(index, n) for n in ns), ns[-1]) for index, ns in enumerate(orders)]
+    else:
+        _passes = {}
+        run = lambda index, n: SUITES[index][1](n)
+    try:
+        return [_merge((run(index, n) for n in ns), ns[-1]) for index, ns in enumerate(orders)]
+    finally:
+        _passes = None

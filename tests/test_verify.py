@@ -99,6 +99,12 @@ def prime_stream_disconnected(n, family):
     return (w for w in WORDS(n, "compositions") if math.gcd(*w) != 1)
 
 
+def prime_stream_one_word_long(n, family):
+    """Deliberately broken stream: the prime compositions of 6 end with the word 6, which is not coprime."""
+    words = WORDS(n, family)
+    return words if (n, family) != (6, "prime_compositions") else chain(words, [(6,)])
+
+
 def without_word_7(n, family):
     """Deliberately broken stream: the word 7, alone in its gcd class, goes missing."""
     return (w for w in WORDS(n, family) if w != (7,))
@@ -816,6 +822,7 @@ MUTANTS = {
     "gcd column seeded with 1": (counting, "_low_classes", gcd_column_seeded_with_1),
     "boundary classes spelled with the previous rest": (counting, "_low_classes", classes_with_the_previous_rest),
     "prime stream lists the disconnected words": (counting, "_words", prime_stream_disconnected),
+    "prime stream one word long": (counting, "_words", prime_stream_one_word_long),
     "disconnected count off by one": (
         verify, "count_disconnected_compositions", lambda n: counting.count_disconnected_compositions(n) + 1
     ),
@@ -848,8 +855,11 @@ class TestMutantMatrix:
         # catches a class whose words trade places.
         assert kills["a gcd class out of order"][scaling]
         # Its targets are the prime-compositions streams of n/d, which no other
-        # suite reads, so it alone catches a prime stream that lists wrong words.
-        for mutant in ("gcd column seeded with 1", "prime stream lists the disconnected words"):
+        # suite reads, so it alone catches a prime stream that lists wrong words,
+        # or a word past the last image, as it finds every target stream run out.
+        for mutant in (
+            "gcd column seeded with 1", "prime stream lists the disconnected words", "prime stream one word long",
+        ):
             assert kills[mutant] == [i == scaling for i in range(len(names))], mutant
         # The count suite compares the kernel's compositions with the successor
         # walk chunk by chunk, so it catches every fault of that stream.
@@ -1116,8 +1126,10 @@ class TestScanClasses:
         with pytest.raises(StopIteration) as stop:
             while True:
                 assert next(words) == (1, None)
-        assert verify._scaling_classes(n) == stop.value.value
-        assert stop.value.value == {d: counting.count_prime_compositions(n // d) for d in counting.divisors(n)}
+        sizes, left = stop.value.value
+        assert verify._scaling_classes(n) == sizes
+        assert sizes == {d: counting.count_prime_compositions(n // d) for d in counting.divisors(n)}
+        assert left == dict.fromkeys(sizes)
 
     @pytest.mark.parametrize(
         "n,suite,owner,attr,fault,checks,counterexample",
@@ -1137,10 +1149,16 @@ class TestScanClasses:
                 blocks_edited("prime_compositions", 12, last_half_class_5_missing),
                 1041, "n=12, d=1: word 5,6,1 maps to 5,6,1, not 6,5,1",
             ),
-            # The per-word route never reads past the prime stream's last word, so an extra block passes.
+            # An extra block's words are left over once every word has its image.
             (
                 12, "common-factor scaling bijection", counting, "_listed",
-                blocks_edited("prime_compositions", 12, lambda blocks: blocks + blocks[:1]), 2**11, None,
+                blocks_edited("prime_compositions", 12, lambda blocks: blocks + blocks[:1]),
+                2**11, "n=12, d=1: the prime stream of 12 has the word 1,11 left over",
+            ),
+            # The class route reads the d = 1 stream as blocks and the others word by word.
+            (
+                12, "common-factor scaling bijection", counting, "_words", prime_stream_one_word_long,
+                2**11, "n=12, d=2: the prime stream of 6 has the word 6 left over",
             ),
             (
                 12, "common-factor scaling bijection", counting, "_low_classes", low_boundary_shifted,
@@ -1206,6 +1224,87 @@ class TestScanClasses:
         monkeypatch.setattr(verify, "_scaling_classes", None)
         monkeypatch.setattr(verify, "_mirrored_generators", None)
         run(1, 11)
+
+
+def palindrome_test_wrong_on(parts):
+    """Deliberately broken predicate: the word `parts` reads as the opposite of what it is."""
+    is_palindrome = Composition.is_palindrome
+    return lambda self: is_palindrome(self) != (self.parts == parts)
+
+
+def sets_swapped_at(order, i, j):
+    """Deliberately broken stream: the connection sets of masks i and j of `order` trade places."""
+
+    def words(n, family):
+        items = WORDS(n, family)
+        if (n, family) != (order, "connection_sets"):
+            return items
+        items = list(items)
+        items[i], items[j] = items[j], items[i]
+        return iter(items)
+
+    return words
+
+
+class TestOnePass:
+    """Inside `run_suites`, one pass per order serves the round-trip, gcd and symmetry suites."""
+
+    def test_the_suites_of_the_pass_lead_the_registry(self):
+        # run_suites groups a pool task by registry index.
+        assert tuple(unit.args[1] for _, unit, _ in SUITES[: len(verify._ONE_PASS)]) == verify._ONE_PASS
+
+    def test_a_clean_run_takes_every_order_from_the_pass(self, monkeypatch):
+        served = []
+        one_pass = verify._one_pass
+        monkeypatch.setattr(verify, "_one_pass", lambda n: served.append(n) or one_pass(n))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
+        for workers in (1, 2):
+            served.clear()
+            assert all(r.passed for r in run_suites(max_n=14, workers=workers))
+            assert sorted(served) == list(range(1, 15)), workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_switching_the_pass_off_changes_no_result(self, workers, monkeypatch):
+        shared = run_suites(max_n=14, workers=workers)
+        monkeypatch.setattr(verify, "_one_pass", lambda n: None)
+        assert untimed(run_suites(max_n=14, workers=workers)) == untimed(shared)
+
+    @pytest.mark.parametrize(
+        "owner,attr,fault,broken",
+        [
+            (ConnectionSet, "gcd", lambda self: math.gcd(*self.elements), "gcd preservation"),
+            # Mask 300 of n = 11 is in chunk 1; its word 3,1,2,3,2 is no palindrome.
+            (Composition, "is_palindrome", palindrome_test_wrong_on(gaps_of_mask(11, 300)), "symmetry vs palindromicity"),
+            # Neither set is symmetric, so only the round trips see the swap.
+            (counting, "_words", sets_swapped_at(10, 300, 301), "gap-word round trips"),
+        ],
+    )
+    def test_a_fault_in_one_claim_gives_each_suite_its_own_bodys_result(self, owner, attr, fault, broken, monkeypatch):
+        monkeypatch.setattr(owner, attr, fault)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
+        names = [name for name, _, _ in SUITES[: len(verify._ONE_PASS)]]
+        alone = [ranged(name, 1, 11) for name in names]  # outside run_suites: each body on its own
+        for workers in (1, 2):
+            results = run_suites(max_n=11, workers=workers)[: len(names)]
+            assert untimed(results) == untimed(alone), workers
+        words = 2**11 - 1
+        full = {"gap-word round trips": 2 * words, "gcd preservation": words, "symmetry vs palindromicity": words}
+        assert [(r.name, r.passed) for r in alone] == [(name, name != broken) for name in names]
+        assert all(r.checked == full[r.name] for r in alone if r.passed)
+
+    def test_no_result_of_a_run_outlives_it(self, monkeypatch):
+        # A unit run alone after a run, and the next run, must see a fault that came after it.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
+        owner, attr, fault = MUTANTS["gcd predicate ignores the modulus"]
+        for workers in (1, 2):
+            clean = untimed(run_suites(max_n=9, workers=workers))
+            assert all(r.passed for r in clean)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(owner, attr, fault)
+                assert not ranged("gcd preservation", 1, 9).passed
+                assert not run_suites(max_n=9, workers=workers)[1].passed
+            assert untimed(run_suites(max_n=9, workers=workers)) == clean
+            assert verify._passes is None
 
 
 class TestImageMismatch:
