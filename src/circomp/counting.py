@@ -145,11 +145,9 @@ def iter_family(n: int, family: str) -> Iterator[Composition] | Iterator[Connect
     scan of all 2^(n-1) masks. The palindromic families follow the
     convention that they are defined for n >= 2 only. Each member wraps
     one tuple of _words(n, family), the only listing path. verify's
-    count and scaling suites compare those tuples themselves: the count
-    suite with the successor walk, 2^8 words at a time below n = 17 and
-    a block at a time from there; the scaling suite with the prime
-    compositions of n/d, word by word below n = 12 and a block at a time
-    from there, as the symmetric-generator scan reads the sets' blocks.
+    count and scaling suites compare those tuples, or the blocks under
+    them, themselves: the count suite with the successor walk, the
+    scaling suite with the prime compositions of n/d.
     """
     items = _words(n, family)
     # The kernel's tuples are members by construction: no re-validation.

@@ -121,6 +121,13 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
 # `verify --max-n 19` process peaked 0.5 MB higher, and ran no faster.
 _CHUNK = 1 << 8
 
+# The count suite, the scaling suite and the symmetric-generator scan read the
+# kernel a boundary class at a time from this order up. It is the first order
+# with more than one chunk, and above the kill matrix's max_n = 9, so each
+# per-word route, the oracle of its class route and the route an order reruns
+# when a block strays, still runs at every order the matrix reaches.
+_BY_CLASS_FROM = 10
+
 
 def _walk_blocks(n: int, k: int) -> Iterator[tuple[int, tuple, tuple[int, ...]]]:
     """The successor walk's words at order n as the kernel's boundary classes, each (p, heads, rest).
@@ -352,12 +359,6 @@ def _connectivity(n: int) -> Checks:
             yield 1, None
 
 
-# The scaling suite and the symmetric-generator scan read the kernel's blocks
-# from the first order whose kernel has two high halves; below it, and for a
-# block that strays, they run their per-word routes, the class routes' oracles.
-_SCANS_BY_CLASS_FROM = counting._LOW_BITS + 2
-
-
 def _symmetric_generator(n: int, t: tuple[int, ...]) -> bool:
     """Whether the raw element tuple t is a symmetric set that generates Z_n.
 
@@ -382,11 +383,11 @@ def _symmetric_generators(n: int) -> Iterator[tuple[int, ...]]:
     """The symmetric sets that generate Z_n, as raw element tuples in mask order.
 
     A scan of the kernel's tuples of all 2^(n-1) connection sets, with no
-    tuple wrapped. Below _SCANS_BY_CLASS_FROM every tuple is tested
+    tuple wrapped. Below _BY_CLASS_FROM every tuple is tested
     (`_scanned_generators`); from there a boundary class at a time
     (`_mirrored_generators`).
     """
-    if n < _SCANS_BY_CLASS_FROM:
+    if n < _BY_CLASS_FROM:
         return _scanned_generators(n, counting._words(n, "connection_sets"))
     return _mirrored_generators(n)
 
@@ -493,27 +494,6 @@ def _palindrome_bijection(n: int) -> Checks:
         yield 0, f"n={n}: {sets} enumerated vs {count_aperiodic_palindromes(n)} counted"
 
 
-def _chunk_tallies(chunk: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
-    """The number of coprime words in a chunk of `_successor_chunks`, and its palindromes in order.
-
-    Past chunk 0, every word of a chunk ends with the rest R of its first
-    word (a,) + R, and its word at index i >= 1 has first part (lowest
-    set bit of i) + 1. So when gcd(R) = 1 all 2^8 words are coprime, and
-    a palindrome, whose first part is its last part l = R[-1], can only
-    sit at the indices 2^(l-1) + k * 2^l, or at index 0 when a = l. Each
-    such candidate is still reversed in full. Chunk 0, whose first word
-    (n,) has no rest, a chunk shorter than 2^8 and the coprime count of a
-    chunk with gcd(R) > 1 are tallied word by word.
-    """
-    if len(chunk) < _CHUNK or len(chunk[0]) == 1:
-        return list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w == w[::-1]]
-    a, *rest = chunk[0]
-    prime = _CHUNK if math.gcd(*rest) == 1 else list(starmap(math.gcd, chunk)).count(1)
-    last = rest[-1]
-    candidates = chunk[:1] if a == last else chunk[1 << (last - 1) :: 1 << last]
-    return prime, [w for w in candidates if w == w[::-1]]
-
-
 def _word_tallies(n: int) -> Generator[tuple[int, str | None], None, tuple[int, list[tuple[int, ...]]] | None]:
     """The coprime words of n and its palindromes in order, compared and tallied word by word.
 
@@ -522,7 +502,7 @@ def _word_tallies(n: int) -> Generator[tuple[int, str | None], None, tuple[int, 
     differs is searched for its first stray mask, which fails the order
     with no check counted. A stream that ends early or runs past the walk
     leaves an unequal chunk, so it fails too. Only a chunk equal to the
-    walk's is tallied, by `_chunk_tallies`, which reads the walk's layout.
+    walk's is tallied: each word's gcd is taken, and each word reversed.
     """
     prime = 0
     pals: list[tuple[int, ...]] = []
@@ -536,9 +516,8 @@ def _word_tallies(n: int) -> Generator[tuple[int, str | None], None, tuple[int, 
             m = start + i if start + i < total else None  # None: past the last mask
             yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the walk {_spelled(w)}"
             return None
-        coprime, found = _chunk_tallies(chunk)
-        prime += coprime
-        pals += found
+        prime += list(starmap(math.gcd, chunk)).count(1)
+        pals += [w for w in chunk if w == w[::-1]]
     return prime, pals
 
 
@@ -619,11 +598,6 @@ def _class_tallies(n: int) -> tuple[int, list[tuple[int, ...]]] | None:
     return prime, pals
 
 
-# The count suite compares and tallies orders from here up a boundary class at
-# a time; every order below runs the per-word route, the class route's oracle.
-_BY_CLASS_FROM = 17
-
-
 def _count_oracles(n: int) -> Checks:
     """Closed-form counts equal the lengths of the enumerated families.
 
@@ -632,9 +606,9 @@ def _count_oracles(n: int) -> Checks:
     palindromes found, from the walk's side. From n = _BY_CLASS_FROM the
     comparison and the tallies run one boundary class at a time
     (`_class_tallies`); below it, and at any order where a block strays,
-    mask by mask from mask 0 (`_word_tallies`), which names the first
-    stray mask. The palindromes found must reproduce the palindrome
-    stream item for item.
+    a chunk of 2^8 masks at a time from mask 0 (`_word_tallies`), which
+    names the first stray mask. The palindromes found must reproduce the
+    palindrome stream item for item.
     """
     tallies = _class_tallies(n) if n >= _BY_CLASS_FROM else None
     if tallies is None:
@@ -687,13 +661,12 @@ def _scaling_bijection(n: int) -> Checks:
     Division keeps mask bits d-1, 2d-1, ..., so it preserves mask order: in one
     pass, each kernel tuple of gcd d, divided by d, must be the next tuple of the
     prime-compositions stream of n/d. No word is wrapped in an object on either side.
-    From _SCANS_BY_CLASS_FROM the pass reads the kernel's blocks (`_scaling_classes`);
+    From _BY_CLASS_FROM the pass reads the kernel's blocks (`_scaling_classes`);
     below it, and at any order where a block strays, word by word from mask 0
     (`_scaling_words`), which names the first stray word. Each gcd class's size is
-    then held to the closed form, and the per-word route's target streams must
-    all have run out.
+    then held to the closed form, and every target stream must have run out.
     """
-    sizes = _scaling_classes(n) if n >= _SCANS_BY_CLASS_FROM else None
+    sizes = _scaling_classes(n) if n >= _BY_CLASS_FROM else None
     left: dict[int, tuple[int, ...] | None] = {}  # d -> a word left in its target stream
     if sizes is None:
         sizes, left = yield from _scaling_words(n)

@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, chain, groupby, starmap
 
 import pytest
@@ -178,38 +179,6 @@ def high_elements_one_too_high(n):
         yield chunk if j == 0 else [t[:1] + tuple(e + (e > 8) for e in t[1:]) for t in chunk]
 
 
-CHUNK_TALLIES = verify._chunk_tallies
-
-
-def later_chunk(chunk):
-    """Whether `_chunk_tallies` reads the walk's layout for this chunk: a full one past chunk 0."""
-    return len(chunk) == 2**8 and len(chunk[0]) > 1
-
-
-def coprime_without_the_rest_test(chunk):
-    """Deliberately broken tally: every later chunk counts all its words coprime, whatever gcd its rest has.
-
-    Chunk 1 of n = 12 starts with 9,3, so its rest is 3, and it holds mask 260's word 3,6,3.
-    """
-    prime, pals = CHUNK_TALLIES(chunk)
-    return (len(chunk) if later_chunk(chunk) else prime), pals
-
-
-def palindrome_slice_one_late(chunk):
-    """Deliberately broken tally: a later chunk's palindrome candidates are read one index late.
-
-    Chunk 1 of n = 10 starts with 9,1, so its candidates sit at the odd
-    indices; read one late, they miss mask 257's palindrome 1,8,1.
-    """
-    prime, pals = CHUNK_TALLIES(chunk)
-    if later_chunk(chunk):
-        a, *rest = chunk[0]
-        last = rest[-1]
-        candidates = chunk[:1] if a == last else chunk[(1 << (last - 1)) + 1 :: 1 << last]
-        pals = [w for w in candidates if w == w[::-1]]
-    return prime, pals
-
-
 def factorize_skipping_5(n):
     """Deliberately broken trial division: after 3 it steps by 3, so 5, 7, 11, ... are never tried."""
     factors = {}
@@ -349,6 +318,28 @@ def one_block_past_the_last_mask(blocks):
     return blocks + blocks[:1]
 
 
+def words_swapped(i, j):
+    """Deliberately broken blocks: the words of masks i and j trade places.
+
+    The blocks that hold them are cut into blocks of one word each, and
+    every other block is kept, so a class route strays first at the block
+    of mask min(i, j).
+    """
+
+    def edit(blocks):
+        words = [piece + rest for pieces, rest in blocks for piece in pieces]
+        words[i], words[j] = words[j], words[i]
+        edited, start = [], 0
+        for pieces, rest in blocks:
+            end = start + len(pieces)
+            hit = start <= i < end or start <= j < end
+            edited += [((w,), ()) for w in words[start:end]] if hit else [(pieces, rest)]
+            start = end
+        return edited
+
+    return edit
+
+
 def order_11_walk_one_word_short(n):
     """Deliberately broken oracle: the order-11 walk, whose words head the class route's classes, drops its last word."""
     return walk_one_word_short(n) if n == 11 else SUCCESSOR_WORDS(n)
@@ -360,6 +351,16 @@ MIRROR_TABLE = verify._mirror_table
 def mirror_table_without_the_heavy_classes(n, p, heads):
     """Deliberately broken tally: a class heavier than its rest (2p > n) finds no palindrome."""
     return MIRROR_TABLE(n, p, heads) if 2 * p <= n else {}
+
+
+def head_gcds_all_1(gcds):
+    """Deliberately broken tally: every head of a class has gcd 1, so a word is coprime when its rest is."""
+    return Counter(1 for _ in gcds)
+
+
+def mirror_table_with_light_heads_unreversed(n, p, heads):
+    """Deliberately broken tally: a class no heavier than its rest (2p <= n) keeps each head under itself, not its reversal."""
+    return {h: [h] for h in heads} if 2 * p <= n else MIRROR_TABLE(n, p, heads)
 
 
 def untimed(results):
@@ -499,41 +500,24 @@ class TestFaultInjection:
         "n,fault,mask,got,want",
         [
             # The 8 words of n = 4 are one partial chunk, and the 2^8 of n = 9 one full chunk.
-            (4, lambda w: w + [(4,)], None, "4", "None"),
-            (4, lambda w: w[:-1], 7, "None", "1,1,1,1"),
-            (9, lambda w: w + [(9,)], None, "9", "None"),
-            (9, lambda w: w[:-1], 255, "None", ",".join(["1"] * 9)),
+            (4, one_block_past_the_last_mask, None, "4", "None"),
+            (4, last_block_one_word_short, 7, "None", "1,1,1,1"),
+            (9, one_block_past_the_last_mask, None, "9", "None"),
+            (9, last_block_one_word_short, 255, "None", ",".join(["1"] * 9)),
             # The 2^10 words of n = 11 and 2^11 of n = 12 fill whole chunks, with no word over.
-            (11, lambda w: w + [(11,)], None, "11", "None"),
-            (12, lambda w: w + [(12,)], None, "12", "None"),
-            (12, lambda w: w[:-1], 2047, "None", ",".join(["1"] * 12)),
+            # The class route meets the stray block, gives up, and the per-word route names it.
+            (11, one_block_past_the_last_mask, None, "11", "None"),
+            (12, one_block_past_the_last_mask, None, "12", "None"),
+            (12, last_block_one_word_short, 2047, "None", ",".join(["1"] * 12)),
         ],
     )
     def test_a_stream_past_or_short_of_the_walk_fails_in_its_last_chunk(
         self, n, fault, mask, got, want, monkeypatch
     ):
-        broken = lambda m, family: iter(fault(list(WORDS(m, family))))
-        monkeypatch.setattr(counting, "_words", broken)
+        monkeypatch.setattr(counting, "_listed", composition_blocks_edited(fault))
         result = verify._run_order("count", verify._count_oracles, n)
         assert not result.passed and result.checked == 0
         assert result.counterexample == f"n={n}, mask {mask}: the kernel gives {got}, the walk {want}"
-
-    @pytest.mark.parametrize(
-        "fault,checks,counterexample",
-        [
-            # The words of n = 1..11 and the 2^11 of n = 12 are counted before the coprime tally is.
-            (coprime_without_the_rest_test, 2**12 - 1, "n=12: 2030 coprime words enumerated vs 2010 counted"),
-            # Chunk 1 of n = 10 is the first later chunk, past the matrix's max_n = 9.
-            (palindrome_slice_one_late, 2**10 - 1, "n=10: palindrome stream gives 1,8,1 where the scan gives None"),
-        ],
-    )
-    def test_a_broken_chunk_tally_fails_the_count_suite_past_max_n_9(
-        self, fault, checks, counterexample, monkeypatch
-    ):
-        monkeypatch.setattr(verify, "_chunk_tallies", fault)
-        assert ranged("count formulas vs enumeration", 1, 9).passed
-        result = ranged("count formulas vs enumeration", 1, 20)
-        assert (result.checked, result.counterexample) == (checks, counterexample)
 
     @pytest.mark.parametrize(
         "owner,attr,fault,checks,counterexample",
@@ -560,7 +544,7 @@ class TestFaultInjection:
     def test_a_stray_block_at_17_reruns_the_per_word_route_from_mask_0(
         self, owner, attr, fault, checks, counterexample, monkeypatch
     ):
-        # n = 17 is the first order the class route reads; a block that strays there
+        # At n = 17 the class route reads 2^6 high halves; a block that strays there
         # is named as the per-word route names it, with no check counted.
         monkeypatch.setattr(owner, attr, fault)
         result = ranged("count formulas vs enumeration", 17, 17)
@@ -568,38 +552,54 @@ class TestFaultInjection:
         monkeypatch.setattr(verify, "_class_tallies", lambda n: None)
         assert untimed([result]) == untimed([ranged("count formulas vs enumeration", 17, 17)])
 
-    def test_a_class_tally_without_the_heavy_classes_palindromes_fails_at_17(self, monkeypatch):
-        # Classes with 2p > n first meet the class route at n = 17 (classes 9 and 10);
-        # the per-word route below it never reads the mirror table.
+    def test_a_composition_stream_one_word_short_fails_the_count_and_scaling_suites_at_10(self, monkeypatch):
+        # From n = 10 both suites read the kernel's blocks, not `counting._words`, so the
+        # fault goes in through the blocks. Run from 10 up, each fails at its first order.
+        monkeypatch.setattr(counting, "_listed", composition_blocks_edited(last_block_one_word_short))
+        ones = ",".join(["1"] * 10)
+        results = (ranged(name, 10, ceiling) for name, _, ceiling in SUITES if 10 <= ceiling < 72)
+        assert {r.name: (r.checked, r.counterexample) for r in results if not r.passed} == {
+            "count formulas vs enumeration": (0, f"n=10, mask 511: the kernel gives None, the walk {ones}"),
+            "common-factor scaling bijection": (2**9 - 1, "n=10, d=1: 494 words vs 495 counted"),
+        }
+
+    def test_a_class_tally_without_the_heavy_classes_palindromes_fails_at_10(self, monkeypatch):
+        # Classes with 2p > n meet the class route at its first order, n = 10, where
+        # the palindrome 4,2,4 is in class 6; the per-word route below it never reads
+        # the mirror table.
         monkeypatch.setattr(verify, "_mirror_table", mirror_table_without_the_heavy_classes)
         result = ranged("count formulas vs enumeration", 1, 20)
         assert (result.checked, result.counterexample) == (
-            2**17 - 1, "n=17: palindrome stream gives 8,1,8 where the scan gives 6,5,6"
+            2**10 - 1, "n=10: palindrome stream gives 4,2,4 where the scan gives None"
         )
 
-    def test_the_count_suite_reads_classes_from_17_and_words_below(self, monkeypatch):
-        # No silent fallback: with the per-word route gone, every order from 17 to
-        # the suite's ceiling still passes, and with the class route gone every
-        # order below 17 does.
-        word_tallies = verify._word_tallies
-        monkeypatch.setattr(verify, "_word_tallies", None)
-        for n in range(17, 21):
-            result = verify._run_order("count", verify._count_oracles, n)
-            assert (result.passed, result.checked) == (True, 2 ** (n - 1)), result
-        monkeypatch.setattr(verify, "_word_tallies", word_tallies)
-        monkeypatch.setattr(verify, "_class_tallies", None)
-        result = ranged("count formulas vs enumeration", 1, 16)
-        assert (result.passed, result.checked) == (True, 2**16 - 1)
+    @pytest.mark.parametrize(
+        "attr,fault,checks,counterexample",
+        [
+            # The words of n = 1..10 are counted before the coprime tally is.
+            ("Counter", head_gcds_all_1, 2**10 - 1, "n=10: 512 coprime words enumerated vs 495 counted"),
+            # At n = 10 and 11 every palindrome of a light class has a palindromic head.
+            (
+                "_mirror_table",
+                mirror_table_with_light_heads_unreversed,
+                2**12 - 1,
+                "n=12: palindrome stream gives 1,5,5,1 where the scan gives 5,1,5,1",
+            ),
+        ],
+    )
+    def test_a_broken_class_tally_fails_the_count_suite_past_max_n_9(
+        self, attr, fault, checks, counterexample, monkeypatch
+    ):
+        monkeypatch.setattr(verify, attr, fault)
+        assert ranged("count formulas vs enumeration", 1, 9).passed
+        result = ranged("count formulas vs enumeration", 1, 20)
+        assert (result.checked, result.counterexample) == (checks, counterexample)
 
     def test_a_swap_in_the_second_kernel_block_names_its_first_mask(self, monkeypatch):
-        # n = 12 has two kernel blocks of 2^10 words; the chunk that differs is
-        # searched for the first stray mask.
-        def swapped(n, family):
-            words = list(WORDS(n, family))
-            words[1030], words[1040] = words[1040], words[1030]
-            return iter(words)
-
-        monkeypatch.setattr(counting, "_words", swapped)
+        # n = 12 has two high halves of 2^10 words. The class route strays at the
+        # block of mask 1030 and gives up; the per-word route then searches the chunk
+        # that differs for the first stray mask.
+        monkeypatch.setattr(counting, "_listed", composition_blocks_edited(words_swapped(1030, 1040)))
         result = verify._run_order("count", verify._count_oracles, 12)
         assert not result.passed and result.checked == 0
         stray, want = (Composition(gaps_of_mask(12, m)) for m in (1040, 1030))
@@ -635,18 +635,15 @@ class TestFaultInjection:
 
     def test_a_carry_into_chunk_2_one_low_fails_at_its_first_mask(self, monkeypatch):
         # The first carry between chunks runs at n = 10, past the matrix's max_n = 9,
-        # and n = 11 is the first order with a chunk 2. Both suites name mask 512:
-        # the count suite after the words of n = 1..10, the round trips after two
-        # checks for each of those words and for each of masks 0..512 of n = 11.
+        # and n = 11 is the first order with a chunk 2. The count suite reads the
+        # chunks only below n = 10, and a moved unit keeps every part count, so the
+        # round trips alone fail, at mask 512: after two checks for each word of
+        # n = 1..10 and for each of masks 0..512 of n = 11.
         monkeypatch.setattr(verify, "_successor_chunks", carry_into_chunk_2_one_low)
-        result = ranged("count formulas vs enumeration", 1, 12)
-        assert (result.checked, result.counterexample) == (
-            2**10 - 1, "n=11, mask 512: the kernel gives 10,1, the walk 9,2"
-        )
-        result = ranged("gap-word round trips", 1, 12)
-        assert (result.checked, result.counterexample) == (
-            2 * (2**10 - 1) + 2 * 513, "n=11, mask 512: the gap word is 10,1, the walk 9,2"
-        )
+        fails = {r.name: (r.checked, r.counterexample) for r in run_suites() if not r.passed}
+        assert fails == {
+            "gap-word round trips": (2 * (2**10 - 1) + 2 * 513, "n=11, mask 512: the gap word is 10,1, the walk 9,2")
+        }
 
     def test_high_elements_one_too_high_fail_the_round_trips_at_mask_256(self, monkeypatch):
         # The mask route's first chunk with high bits is chunk 1 of n = 10, past the
@@ -1064,13 +1061,6 @@ class TestUnits:
         assert [len(chunk) for chunk in chunks] == [min(2**8, 2 ** (n - 1))] * len(chunks)
         assert [chunk[0] for chunk in chunks] == [gaps_of_mask(n, j * 2**8) for j in range(len(chunks))]
 
-    @pytest.mark.parametrize("n", range(1, 17))
-    def test_chunk_tallies_equal_the_per_word_tallies(self, n):
-        # The per-word gcd and the full palindrome scan stay the oracle of the walk-layout shortcut.
-        for chunk in verify._successor_chunks(n):
-            want = (list(starmap(math.gcd, chunk)).count(1), [w for w in chunk if w == w[::-1]])
-            assert verify._chunk_tallies(chunk) == want
-
     @pytest.mark.parametrize("n", range(1, 23))
     def test_class_tallies_equal_the_per_word_tallies(self, n):
         # The per-word gcd and the full palindrome scan over the walk's chunks stay the class route's oracle.
@@ -1084,6 +1074,15 @@ class TestUnits:
         k = min(counting._LOW_BITS, n - 1)
         heavy = {2 * max(s for s in accumulate(w, initial=0) if s <= k) > n for w in pals}
         assert heavy == ({False, True} if 3 <= n <= 19 else {False})
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_word_tallies_equal_the_class_tallies(self, n):
+        # From n = 10 the per-word route runs only where a block strays; at every order
+        # of the count suite it must then tally as the class route does.
+        tallies = verify._word_tallies(n)
+        with pytest.raises(StopIteration) as done:
+            next(tallies)  # an order whose chunks all equal the walk's yields no check
+        assert done.value.value == verify._class_tallies(n)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_mask_chunks_cut_the_per_mask_rule_every_2_to_the_8_masks(self, n):
@@ -1106,19 +1105,19 @@ class TestUnits:
 
 
 class TestScanClasses:
-    """The scaling suite and the symmetric-generator scan read the kernel's blocks from n = 12."""
+    """The count suite, the scaling suite and the symmetric-generator scan read the kernel's blocks from n = 10."""
 
     @pytest.mark.parametrize("n", range(1, 23))
     def test_symmetric_generators_equal_the_flat_scan(self, n):
         flat = list(verify._scanned_generators(n, counting._words(n, "connection_sets")))
         assert list(verify._symmetric_generators(n)) == flat
         # A set's class is its largest element of at most k. Both mirror branches,
-        # 2p <= n and 2p > n, find generators from n = 12 to 19; from 20 up no
-        # class outweighs its rest.
+        # 2p <= n and 2p > n, find generators from n = 12 to 19; at n = 10 and 11,
+        # where k = n - 1, only 2p > n does, and from 20 up no class outweighs its rest.
         k = min(counting._LOW_BITS, n - 1)
         heavy = {2 * max(e for e in t if e <= k) > n for t in flat}
-        if n >= 12:
-            assert heavy == ({False, True} if n <= 19 else {False})
+        if n >= 10:
+            assert heavy == ({True} if n < 12 else {False, True} if n <= 19 else {False})
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_scaling_classes_give_the_per_word_sizes(self, n):
@@ -1177,7 +1176,7 @@ class TestScanClasses:
         monkeypatch.setattr(owner, attr, fault)
         result = unit(n)
         assert (result.passed, result.checked, result.counterexample) == (counterexample is None, checks, counterexample)
-        monkeypatch.setattr(verify, "_SCANS_BY_CLASS_FROM", 99)
+        monkeypatch.setattr(verify, "_BY_CLASS_FROM", 99)
         assert untimed([result]) == untimed([unit(n)])
 
     @pytest.mark.parametrize(
@@ -1206,24 +1205,29 @@ class TestScanClasses:
         result = verify._run_order("bijection", verify._palindrome_bijection, n)
         assert (result.passed, result.checked) == (True, 2 * counting.count_aperiodic_palindromes(n))
 
-    def test_the_unpatched_kernel_takes_the_class_routes_from_12_and_the_per_word_routes_below(self, monkeypatch):
-        # No silent fallback: with both per-word routes gone, n = 12..16 still pass,
-        # and with both class routes gone, n = 1..11 do.
-        def run(first, last):
-            for n in range(first, last + 1):
-                result = verify._run_order("scaling", verify._scaling_bijection, n)
-                assert (result.passed, result.checked) == (True, 2 ** (n - 1)), result
-                if n > 1:
-                    result = verify._run_order("bijection", verify._palindrome_bijection, n)
-                    assert (result.passed, result.checked) == (True, 2 * counting.count_aperiodic_palindromes(n)), result
+    def test_the_unpatched_kernel_takes_the_class_routes_from_10_and_the_per_word_routes_below(self, monkeypatch):
+        # No silent fallback: with the three per-word routes gone, every order from 10
+        # to each suite's ceiling still passes, and with the class routes gone n = 1..9 do.
+        full = {  # a passing order's checks
+            "count formulas vs enumeration": lambda n: 2 ** (n - 1),
+            "common-factor scaling bijection": lambda n: 2 ** (n - 1),
+            "aperiodic palindrome bijection": lambda n: 2 * counting.count_aperiodic_palindromes(n) if n > 1 else 0,
+        }
+        ceilings = {name: ceiling for name, _, ceiling in SUITES}
+
+        def run(first, last=None):
+            for name, checks in full.items():
+                for n in range(first, (last or ceilings[name]) + 1):
+                    result = ranged(name, n, n)
+                    assert (result.passed, result.checked) == (True, checks(n)), result
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_scaling_words", None)
-            patch.setattr(verify, "_scanned_generators", None)
-            run(12, 16)
-        monkeypatch.setattr(verify, "_scaling_classes", None)
-        monkeypatch.setattr(verify, "_mirrored_generators", None)
-        run(1, 11)
+            for route in ("_word_tallies", "_scaling_words", "_scanned_generators"):
+                patch.setattr(verify, route, None)
+            run(10)
+        for route in ("_class_tallies", "_scaling_classes", "_mirrored_generators"):
+            monkeypatch.setattr(verify, route, None)
+        run(1, 9)
 
 
 def palindrome_test_wrong_on(parts):
