@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Generator, Iterable, Iterator
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat, starmap, zip_longest
-from operator import add, lt
+from operator import add, sub
 
 from . import counting
 from .compositions import Composition
@@ -384,7 +383,8 @@ def _symmetric_generators(n: int) -> Iterator[tuple[int, ...]]:
 
     A scan of the kernel's tuples of all 2^(n-1) connection sets, with no
     tuple wrapped. Below _BY_CLASS_FROM every tuple is tested
-    (`_scanned_generators`); from there a boundary class at a time
+    (`_scanned_generators`); from there a boundary class at a time,
+    through its gap words and the count suite's `_mirror_table`
     (`_mirrored_generators`).
     """
     if n < _BY_CLASS_FROM:
@@ -392,76 +392,41 @@ def _symmetric_generators(n: int) -> Iterator[tuple[int, ...]]:
     return _mirrored_generators(n)
 
 
-def _generator_table(n: int, p: int, pieces: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """A class's pieces that can begin a symmetric set of Z_n, under the key its rest must give; None off the class shape.
-
-    The class shape: 0 < p < n and every piece starts at 0 and stays
-    below p, or p = 0 and the one piece is empty. A set piece + rest then has
-    the nonzero elements A + R, with A = piece[1:] below p and R the
-    rest's nonzero elements, all at least p. Negation swaps (0, p) with
-    (n - p, n). For 2p <= n the set is symmetric iff R's elements above
-    n - p are n minus A reversed and R's others mirror each other, so
-    each piece is kept under n minus its reversed nonzero elements; two
-    equal pieces are off the shape. For 2p > n, R's negation lies at or
-    below n - p: the set is symmetric iff A's leading elements up to
-    n - p are n minus R reversed and A's others, in (n - p, p), mirror
-    each other. A piece whose others mirror is kept under those leading
-    elements, in mask order. They are found by bisection, which needs
-    only that they lead, as they do in any symmetric set.
-    """
-    if 0 < p < n:
-        if {piece[:1] for piece in pieces} != {(0,)} or max(map(max, pieces)) >= p:
-            return None
-    elif p or pieces != ((),):
-        return None
-    if 2 * p <= n:
-        table = {tuple(map(n.__sub__, piece[:0:-1])): [piece] for piece in pieces}
-        return table if len(table) == len(pieces) else None
-    table = {}
-    for piece in pieces:
-        cut = bisect_right(piece, n - p)
-        middle = piece[cut:]
-        if middle[::-1] == tuple(map(n.__sub__, middle)):
-            table.setdefault(piece[1:cut], []).append(piece)
-    return table
-
-
 def _mirrored_generators(n: int) -> Iterator[tuple[int, ...]]:
     """The symmetric generating sets of Z_n, a boundary class of the kernel's sets at a time.
 
-    Each block (pieces, rest) has p = rest[0]. Its class's
-    `_generator_table` is built once per pieces tuple and p. For 2p <= n,
-    the rest's nonzero elements up to n - p must mirror each other, and
-    those above it are the key; for 2p > n the key is n minus the
-    reversed rest. Every set found is still tested in full by
-    `_symmetric_generator`. A block off the class shape, a piece that
-    does not start at 0 or reaches p, or a rest that does not rise from
-    p, is scanned member by member.
+    A block (pieces, rest) with p = rest[0] spells the gap words head +
+    word: its heads are the gaps of piece + (p,), compositions of p, and
+    its rest word is the gaps of rest + (n,). A set is symmetric exactly
+    when its gap word is a palindrome, so the heads found by `_mirrored`
+    in the class's `_mirror_table`, built once per pieces tuple and p,
+    name the block's symmetric sets; every set found is still tested in
+    full by `_symmetric_generator`. A block off the class shape is scanned
+    member by member: its pieces not distinct, a piece that does not rise
+    from 0 below p (for p = 0, pieces other than the one empty piece), or
+    a rest that does not rise from p below n.
     """
     is_generator = partial(_symmetric_generator, n)
-    tables: dict[int, tuple] = {}  # id(pieces) -> (pieces, p, table), holding pieces keeps its id
+    classes: dict[int, tuple] = {}  # p -> (accepted pieces, mirror table or None off the shape, piece by head)
     for pieces, rest in counting._listed(n, "connection_sets").blocks(n, "connection_sets", counting._TUPLES):
+        word = tuple(map(sub, rest[1:] + (n,), rest))
         table = None
-        if rest and all(map(lt, rest, rest[1:])):  # the rest rises from p
+        if word and min(word) > 0:
             p = rest[0]
-            seen = tables.get(id(pieces))
-            if seen is None or seen[0] is not pieces or seen[1] != p:
-                seen = tables[id(pieces)] = pieces, p, _generator_table(n, p, pieces)
-            table = seen[2]
+            seen = classes.get(p)
+            if seen is None or seen[0] is not pieces:
+                heads = [tuple(map(sub, piece[1:] + (p,), piece)) for piece in pieces]
+                piece_of = dict(zip(heads, pieces))
+                # Distinct pieces that start at 0 (class 0: the empty piece) and rise below p.
+                starts = {piece[:1] for piece in pieces} == ({(0,)} if p else {()})
+                shaped = starts and len(piece_of) == len(pieces) and min(chain.from_iterable(heads), default=1) > 0
+                seen = classes[p] = pieces, _mirror_table(n, p, heads) if shaped else None, piece_of
+            _, table, piece_of = seen
         if table is None:
             yield from _scanned_generators(n, map(add, pieces, repeat(rest)))
             continue
-        if 2 * p <= n:
-            nonzero = rest if p else rest[1:]
-            cut = bisect_right(nonzero, n - p)
-            middle = nonzero[:cut]
-            if middle[::-1] != tuple(map(n.__sub__, middle)):
-                continue
-            found = table.get(nonzero[cut:])
-        else:
-            found = table.get(tuple(map(n.__sub__, rest[::-1])))
-        if found:
-            yield from filter(is_generator, map(add, found, repeat(rest)))
+        found = map(piece_of.__getitem__, _mirrored(n, p, table, word))
+        yield from filter(is_generator, map(add, found, repeat(rest)))
 
 
 def _palindrome_bijection(n: int) -> Checks:
@@ -469,10 +434,10 @@ def _palindrome_bijection(n: int) -> Checks:
 
     Tau inverse sends the set with gap word u repeated d times to u times d (gcd d); set
     and word order like u's mask at order n/d, so each image is the next of its gcd class.
-    The sets come from the raw-tuple scan; only those that pass it, about 2^(n/2), are
-    wrapped, and validated, as ConnectionSets. One pass over the palindrome stream sorts
-    its words into one class per divisor of n, in stream order; a word whose gcd `divisors(n)`
-    does not list falls in no class, so the set it comes from finds no word.
+    The sets come from `_symmetric_generators` as raw tuples; only those it finds, about
+    2^(n/2), are wrapped, and validated, as ConnectionSets. One pass over the palindrome
+    stream sorts its words into one class per divisor of n, in stream order; a word whose
+    gcd `divisors(n)` does not list falls in no class, so the set it comes from finds no word.
     """
     if n < 2:
         return
@@ -542,6 +507,23 @@ def _mirror_table(n: int, p: int, heads: tuple) -> dict[tuple[int, ...], list[tu
     return table
 
 
+def _mirrored(n: int, p: int, table: dict, rest: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The heads in class p's `_mirror_table` that make a palindrome of n with the rest word `rest`, in mask order.
+
+    For 2p <= n, the head kept under the rest's suffix of sum p, when the
+    rest before that suffix is a palindrome, so at most one; for 2p > n,
+    the heads kept under the reversed rest.
+    """
+    if 2 * p > n:
+        return table.get(rest[::-1], [])
+    cut, tail = len(rest), 0  # rest[cut:] is the suffix, of sum tail
+    while tail < p:
+        cut -= 1
+        tail += rest[cut]
+    middle = rest[:cut]
+    return table.get(rest[cut:], []) if tail == p and middle == middle[::-1] else []
+
+
 def _class_tallies(n: int) -> tuple[int, list[tuple[int, ...]]] | None:
     """The coprime words of n and its palindromes in order, a boundary class at a time; None if a block strays.
 
@@ -556,10 +538,8 @@ def _class_tallies(n: int) -> tuple[int, list[tuple[int, ...]]] | None:
     The tallies read the walk's side only. A word's gcd is gcd(d, g), with
     d its head's gcd and g its rest's, so a class's coprime count under g
     is read once per distinct (p, g) from a Counter of its heads' gcds.
-    A palindrome of class p is a head of its `_mirror_table` followed by
-    the rest: for 2p <= n the head kept under the rest's suffix of sum p,
-    when the rest before that suffix is a palindrome, so a block holds at
-    most one; for 2p > n the heads kept under the reversed rest.
+    A palindrome of class p is a head `_mirrored` finds in the class's
+    `_mirror_table`, followed by the rest.
     """
     k = min(counting._LOW_BITS, n - 1)
     kernel = counting._listed(n, "compositions").blocks(n, "compositions", counting._TUPLES)
@@ -582,19 +562,9 @@ def _class_tallies(n: int) -> tuple[int, list[tuple[int, ...]]] | None:
         if coprime is None:
             coprime = counts[g] = sum(c for d, c in gcds.items() if math.gcd(d, g) == 1)
         prime += coprime
-        if 2 * p <= n:
-            cut, tail = len(rest), 0  # rest[cut:] is the suffix, of sum tail
-            while tail < p:
-                cut -= 1
-                tail += rest[cut]
-            found = table.get(rest[cut:]) if tail == p else None
-            middle = rest[:cut]
-            if found and middle == middle[::-1]:
-                pals.append(found[0] + rest)
-        else:
-            found = table.get(rest[::-1])
-            if found:
-                pals += map(add, found, repeat(rest))
+        found = _mirrored(n, p, table, rest)
+        if found:
+            pals += map(add, found, repeat(rest))
     return prime, pals
 
 

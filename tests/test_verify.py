@@ -363,6 +363,29 @@ def mirror_table_with_light_heads_unreversed(n, p, heads):
     return {h: [h] for h in heads} if 2 * p <= n else MIRROR_TABLE(n, p, heads)
 
 
+MIRRORED = verify._mirrored
+
+
+def mirrored_without_the_heavy_classes(n, p, table, rest):
+    """Deliberately broken lookup: a class heavier than its rest (2p > n) finds no head."""
+    return MIRRORED(n, p, table, rest) if 2 * p <= n else []
+
+
+def mirrored_without_the_middle_test(n, p, table, rest):
+    """Deliberately broken lookup: a light class (2p <= n) skips the test that the rest before its suffix is a palindrome."""
+    if 2 * p > n:
+        return MIRRORED(n, p, table, rest)
+    cut, tail = len(rest), 0
+    while tail < p:
+        cut -= 1
+        tail += rest[cut]
+    return table.get(rest[cut:], []) if tail == p else []
+
+
+# The bijection suite's checks over n = 1..16 when it passes.
+BIJECTION_CHECKS = sum(2 * counting.count_aperiodic_palindromes(n) for n in range(2, 17))
+
+
 def untimed(results):
     """The results with their seconds dropped, so that runs compare by what they found."""
     return [r._replace(seconds=None) for r in results]
@@ -566,34 +589,82 @@ class TestFaultInjection:
     def test_a_class_tally_without_the_heavy_classes_palindromes_fails_at_10(self, monkeypatch):
         # Classes with 2p > n meet the class route at its first order, n = 10, where
         # the palindrome 4,2,4 is in class 6; the per-word route below it never reads
-        # the mirror table.
+        # the mirror table. The generator scan reads the same table from n = 10, so it
+        # misses the set 0,4,5,6 of 4,1,1,4, also in class 6.
         monkeypatch.setattr(verify, "_mirror_table", mirror_table_without_the_heavy_classes)
         result = ranged("count formulas vs enumeration", 1, 20)
         assert (result.checked, result.counterexample) == (
             2**10 - 1, "n=10: palindrome stream gives 4,2,4 where the scan gives None"
         )
+        result = ranged("aperiodic palindrome bijection", 1, 16)
+        assert (result.checked, result.counterexample) == (90, "n=10: word 4,1,1,4 is the image of no set")
 
     @pytest.mark.parametrize(
-        "attr,fault,checks,counterexample",
+        "attr,fault,checks,counterexample,bijection",
         [
-            # The words of n = 1..10 are counted before the coprime tally is.
-            ("Counter", head_gcds_all_1, 2**10 - 1, "n=10: 512 coprime words enumerated vs 495 counted"),
+            # The words of n = 1..10 are counted before the coprime tally is. The
+            # generator scan reads no gcd tally, so the bijection suite passes.
+            (
+                "Counter",
+                head_gcds_all_1,
+                2**10 - 1,
+                "n=10: 512 coprime words enumerated vs 495 counted",
+                (BIJECTION_CHECKS, None),
+            ),
             # At n = 10 and 11 every palindrome of a light class has a palindromic head.
+            # The generator scan reads the same table, so at n = 12 it finds the set of
+            # 1,4,2,4,1 where that of 1,5,5,1 comes first.
             (
                 "_mirror_table",
                 mirror_table_with_light_heads_unreversed,
                 2**12 - 1,
                 "n=12: palindrome stream gives 1,5,5,1 where the scan gives 5,1,5,1",
+                (254, "n=12, set 12: 0,1,5,7,11: word 1,4,2,4,1 is not the next word of its class, 1,5,5,1"),
             ),
         ],
     )
     def test_a_broken_class_tally_fails_the_count_suite_past_max_n_9(
-        self, attr, fault, checks, counterexample, monkeypatch
+        self, attr, fault, checks, counterexample, bijection, monkeypatch
     ):
         monkeypatch.setattr(verify, attr, fault)
         assert ranged("count formulas vs enumeration", 1, 9).passed
         result = ranged("count formulas vs enumeration", 1, 20)
         assert (result.checked, result.counterexample) == (checks, counterexample)
+        result = ranged("aperiodic palindrome bijection", 1, 16)
+        assert (result.checked, result.counterexample) == bijection
+
+    @pytest.mark.parametrize(
+        "fault,failures",
+        [
+            # Both suites reach the lookup at n = 10, where the heavy class 6 holds the
+            # palindrome 4,2,4 and the generator 0,4,5,6 (word 4,1,1,4).
+            (
+                mirrored_without_the_heavy_classes,
+                {
+                    "aperiodic palindrome bijection": (90, "n=10: word 4,1,1,4 is the image of no set"),
+                    "count formulas vs enumeration": (
+                        2**10 - 1, "n=10: palindrome stream gives 4,2,4 where the scan gives None"
+                    ),
+                },
+            ),
+            # Up to n = 11 a rest word is one part, so a suffix of sum p leaves no
+            # middle. At n = 12 class 0 finds its empty head under the rest 11,1. The
+            # generator scan finds false sets too, but tests each set it finds in full,
+            # so only the count suite sees the fault.
+            (
+                mirrored_without_the_middle_test,
+                {
+                    "count formulas vs enumeration": (
+                        2**12 - 1, "n=12: palindrome stream gives 1,10,1 where the scan gives 11,1"
+                    ),
+                },
+            ),
+        ],
+    )
+    def test_a_broken_mirror_lookup_fails_past_max_n_9(self, fault, failures, monkeypatch):
+        monkeypatch.setattr(verify, "_mirrored", fault)
+        assert all(r.passed for r in run_suites(max_n=9))
+        assert {r.name: (r.checked, r.counterexample) for r in run_suites() if not r.passed} == failures
 
     def test_a_swap_in_the_second_kernel_block_names_its_first_mask(self, monkeypatch):
         # n = 12 has two high halves of 2^10 words. The class route strays at the
