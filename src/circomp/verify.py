@@ -40,8 +40,9 @@ PUBLISHED_72_DISCONNECTED = 34_368_074_808
 
 # One suite's outcome. ceiling is the order a unit ran at, or a merged suite's
 # top order, failing or not; counterexample and detail are str or None. seconds
-# is the time of the unit's checks; where `_one_pass` served a unit, the round
-# trips are charged its shared read, and each other suite its own checks.
+# is the time of the unit's checks; where a `_one_pass` of the caller's `passes`
+# served a unit, the round trips are charged its shared read, and each other
+# suite its own checks.
 SuiteResult = namedtuple(
     "SuiteResult", ("name", "passed", "checked", "ceiling", "counterexample", "detail", "seconds")
 )
@@ -50,27 +51,23 @@ SuiteResult = namedtuple(
 Checks = Iterator[tuple[int, str | None]]
 
 
-# n -> `_one_pass(n)`, set by `run_suites` and its pool tasks, and None outside
-# them. Module state, because a SUITES entry takes n alone and may be wrapped.
-_passes: dict[int, dict | None] | None = None
-
-
-def _run_order(name: str, checks: Callable[[int], Checks], n: int) -> SuiteResult:
+def _run_order(name: str, checks: Callable[[int], Checks], n: int, passes: dict | None = None) -> SuiteResult:
     """Suite ``name`` at order n alone: run ``checks(n)`` and add up the checks made.
 
     A check body yields (checks made, None) as it goes and (checks made,
     counterexample) at a failure, where the run stops; it may return a
     detail. A body that raises fails with the error as its counterexample,
     named by its type unless a library call rejected its input (ValueError).
-    Within `run_suites`, the first `_ONE_PASS` unit at order n runs
-    `_one_pass(n)`, and each such unit takes its passing result from it;
-    where the pass gave up, the unit runs its body.
+    Given `passes`, a dict n -> `_one_pass(n)` that one `run_suites` call or
+    pool task owns, the first `_ONE_PASS` unit at order n runs `_one_pass(n)`
+    into it, and each such unit takes its passing result from it; where
+    the pass gave up, or with no `passes`, the unit runs its body.
     """
-    if _passes is not None and checks in _ONE_PASS:
-        if n not in _passes:
-            _passes[n] = _one_pass(n)
-        if _passes[n] is not None:
-            made, seconds = _passes[n][checks]
+    if passes is not None and checks in _ONE_PASS:
+        if n not in passes:
+            passes[n] = _one_pass(n)
+        if passes[n] is not None:
+            made, seconds = passes[n][checks]
             return SuiteResult(name, True, made, n, None, None, seconds)
     start, checked, counterexample, detail = time.perf_counter(), 0, None, None
     try:
@@ -116,8 +113,8 @@ def _successor_words(n: int) -> Iterator[tuple[int, ...]]:
 
 
 # Masks per chunk of the successor walk, of `_mask_chunks` and of the kernel
-# streams the round trips and the count suite compare with them. At 2^10, the
-# `verify --max-n 19` process peaked 0.5 MB higher, and ran no faster.
+# streams `_one_pass` compares with them. At 2^10, the `verify --max-n 19`
+# process peaked 0.5 MB higher, and ran no faster.
 _CHUNK = 1 << 8
 
 # The count suite, the scaling suite and the symmetric-generator scan read the
@@ -216,64 +213,41 @@ def _spelled(word: tuple[int, ...] | None) -> str:
     return "None" if word is None else ",".join(map(str, word))
 
 
-def _trip_chunks(n: int) -> Iterator[tuple[range, list, list, list, list[Composition] | None]]:
-    """The round trips' three streams in lockstep, _CHUNK masks at a time, with the chunk's gap words if it passes at once.
-
-    Yields (masks, sets, tuples, words, gap words): the block kernel's
-    sets, the mask route's element tuples and the successor walk's words
-    at those masks, up to one chunk past the last mask, so that a stream
-    running past the masks is read. The gap words, one `gap_composition`
-    per set, are given when every set has modulus n and the mask route's
-    elements, comes back from its gap word with n and its size kept, and
-    has the walk's word at its mask as that gap word; else None. The sets
-    are compared with the mask route before any gap word is built.
-    """
-    total = count_compositions(n)
-    sets = iter_family(n, "connection_sets")
-    route = chain.from_iterable(_mask_chunks(n))
-    walk = chain.from_iterable(_successor_chunks(n))
-    for start in range(0, total + 1, _CHUNK):
-        chunk, tuples, words = (list(islice(stream, _CHUNK)) for stream in (sets, route, walk))
-        comps = None
-        if all(s.modulus == n for s in chunk) and [s.elements for s in chunk] == tuples:
-            comps = list(map(gap_composition, chunk))
-            parts = [c.parts for c in comps]
-            if not (
-                parts == words
-                and list(map(sum, parts)) == [n] * len(parts)
-                and list(map(len, parts)) == list(map(len, tuples))
-                and list(map(prefix_sum_set, comps)) == chunk
-            ):
-                comps = None
-        yield range(start, min(start + _CHUNK, total)), chunk, tuples, words, comps
+def _trip_streams(n: int) -> tuple[Iterator, Iterator, Iterator, Iterator]:
+    """The kernel's sets, the mask route's tuples, the walk's words and the kernel's compositions, in mask order."""
+    return (
+        iter_family(n, "connection_sets"),
+        chain.from_iterable(_mask_chunks(n)),
+        chain.from_iterable(_successor_chunks(n)),
+        counting._words(n, "compositions"),
+    )
 
 
 def _round_trips(n: int) -> Checks:
     """Gap word and prefix-sum set invert each other, preserving part counts.
 
-    Each set of the kernel must equal the mask route's, come back from
-    its gap word with n and its size kept, and that gap word must be the
-    successor walk's word at the same mask. The last two imply that every
-    walk word round-trips too, so the word is built once per mask. A
-    chunk of `_trip_chunks` that passes at once counts 2 checks per mask.
-    A chunk that differs anywhere is replayed mask by mask, so a stream
-    that strays, runs short or runs past the masks fails where it does.
+    Reads the `_trip_streams` in lockstep with the masks, one mask at a
+    time, so a stream that strays, runs short or runs past the masks
+    fails where it does. Each set must equal the mask route's, come back
+    from its gap word with n and its size kept, and that gap word must be
+    the walk's word at the same mask, which implies that every walk word
+    round-trips too; 2 checks per mask. The kernel's composition at the
+    mask must then be that gap word.
     """
-    for masks, chunk, tuples, words, comps in _trip_chunks(n):
-        if comps is not None:
-            yield 2 * len(chunk), None
-            continue
-        for m, s, t, w in zip_longest(masks, chunk, tuples, words):
-            # Unvalidated, so that a malformed route tuple is named at its mask.
-            want = None if t is None else ConnectionSet._unchecked(n, t)
-            if s != want:
-                yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
-            if s is None:
-                yield 0, f"n={n}, mask None: the walk gives {_spelled(w)} past the last mask"
-            c = gap_composition(s)
-            bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
-            yield 1, f"n={n}, set {s}" if bad else None
-            yield 1, None if c.parts == w else f"n={n}, mask {m}: the gap word is {c}, the walk {_spelled(w)}"
+    for m, s, t, w, k in zip_longest(range(count_compositions(n)), *_trip_streams(n)):
+        # Unvalidated, so that a malformed route tuple is named at its mask.
+        want = None if t is None else ConnectionSet._unchecked(n, t)
+        if s != want:
+            yield 0, f"n={n}, mask {m}: the kernel gives {s}, the mask route {want}"
+        if s is None:
+            stray = f"the walk gives {_spelled(w)}" if w is not None or k is None else f"the kernel gives {_spelled(k)}"
+            yield 0, f"n={n}, mask None: {stray} past the last mask"
+        c = gap_composition(s)
+        bad = c.total != n or c.part_count != s.size or prefix_sum_set(c) != s
+        yield 1, f"n={n}, set {s}" if bad else None
+        yield 1, None if c.parts == w else f"n={n}, mask {m}: the gap word is {c}, the walk {_spelled(w)}"
+        if k != c.parts:
+            yield 0, f"n={n}, mask {m}: the kernel's composition is {_spelled(k)}, the gap word {c}"
 
 
 def _gcd_preservation(n: int) -> Checks:
@@ -310,20 +284,35 @@ _ONE_PASS = (_round_trips, _gcd_preservation, _symmetry_palindrome)
 def _one_pass(n: int) -> dict[Callable[[int], Checks], tuple[int, float]] | None:
     """The checks and seconds of each `_ONE_PASS` suite at order n, from one read of the kernel's sets; None on any doubt.
 
-    Every chunk of `_trip_chunks` must pass the round trips at once. Its
-    gap words are then held to the sets' gcds and their palindromicity to
-    the sets' symmetry, as the other two bodies hold them set by set, and
-    the symmetric sets are counted and compared with their stream at the
-    end. Any difference or error gives None, and each suite then runs its
-    own body, which names the counterexample. The round trips are charged
-    the shared read, and each other suite the time of its own checks.
+    Reads the `_trip_streams` in lockstep, _CHUNK masks at a time and up
+    to one chunk past the last mask, and holds each chunk to every
+    round-trip check at once, a list comparison per check. Its gap words
+    are then held to the sets' gcds and their palindromicity to the sets'
+    symmetry, as the other two bodies hold them set by set, and the
+    symmetric sets are counted and compared with their stream at the end.
+    Any difference or error gives None, and each suite then runs its own
+    body, which names the counterexample. The round trips are charged the
+    shared read, and each other suite the time of its own checks.
     """
     clock = time.perf_counter
     start, made, gcd_s, symmetry_s, symmetric = clock(), 0, 0.0, 0.0, []
     try:
-        for _, chunk, _, _, comps in _trip_chunks(n):
+        streams = _trip_streams(n)
+        for _ in range(0, count_compositions(n) + 1, _CHUNK):
+            chunk, tuples, words, kernel = (list(islice(stream, _CHUNK)) for stream in streams)
+            if not (all(s.modulus == n for s in chunk) and [s.elements for s in chunk] == tuples):
+                return None
+            comps = list(map(gap_composition, chunk))
+            parts = [c.parts for c in comps]
+            if not (
+                parts == words == kernel
+                and list(map(sum, parts)) == [n] * len(parts)
+                and list(map(len, parts)) == list(map(len, tuples))
+                and list(map(prefix_sum_set, comps)) == chunk
+            ):
+                return None
             t0 = clock()
-            if comps is None or [c.gcd() for c in comps] != [s.gcd() for s in chunk]:
+            if [c.gcd() for c in comps] != [s.gcd() for s in chunk]:
                 return None
             t1 = clock()
             flags = [s.is_symmetric() for s in chunk]
@@ -462,27 +451,22 @@ def _palindrome_bijection(n: int) -> Checks:
 def _word_tallies(n: int) -> Generator[tuple[int, str | None], None, tuple[int, list[tuple[int, ...]]] | None]:
     """The coprime words of n and its palindromes in order, compared and tallied word by word.
 
-    The kernel's composition tuples, read _CHUNK at a time, must equal
-    the successor walk's chunks by list equality; only a chunk that
-    differs is searched for its first stray mask, which fails the order
-    with no check counted. A stream that ends early or runs past the walk
-    leaves an unequal chunk, so it fails too. Only a chunk equal to the
-    walk's is tallied: each word's gcd is taken, and each word reversed.
+    Each composition tuple of the kernel must be the successor walk's word
+    at the same mask. The first that is not, or a stream that ends early
+    or runs past the masks, fails the order with no check counted. Each
+    word is tallied from the walk's side: its gcd taken and it reversed.
     """
-    prime = 0
+    prime, total = 0, count_compositions(n)
     pals: list[tuple[int, ...]] = []
-    words, walk = counting._words(n, "compositions"), _successor_chunks(n)
-    total = count_compositions(n)
-    # One chunk past the last mask, so that a stream running past the walk is read.
-    for start in range(0, total + 1, _CHUNK):
-        chunk, want = list(islice(words, _CHUNK)), next(walk, [])
-        if chunk != want:
-            i, c, w = next((i, c, w) for i, (c, w) in enumerate(zip_longest(chunk, want)) if c != w)
-            m = start + i if start + i < total else None  # None: past the last mask
+    words = zip_longest(counting._words(n, "compositions"), chain.from_iterable(_successor_chunks(n)))
+    for m, (c, w) in enumerate(words):
+        if c != w:
+            m = m if m < total else None  # None: past the last mask
             yield 0, f"n={n}, mask {m}: the kernel gives {_spelled(c)}, the walk {_spelled(w)}"
             return None
-        prime += list(starmap(math.gcd, chunk)).count(1)
-        pals += [w for w in chunk if w == w[::-1]]
+        prime += math.gcd(*w) == 1
+        if w == w[::-1]:
+            pals.append(w)
     return prime, pals
 
 
@@ -576,9 +560,9 @@ def _count_oracles(n: int) -> Checks:
     palindromes found, from the walk's side. From n = _BY_CLASS_FROM the
     comparison and the tallies run one boundary class at a time
     (`_class_tallies`); below it, and at any order where a block strays,
-    a chunk of 2^8 masks at a time from mask 0 (`_word_tallies`), which
-    names the first stray mask. The palindromes found must reproduce the
-    palindrome stream item for item.
+    word by word from mask 0 (`_word_tallies`), which names the first
+    stray mask. The palindromes found must reproduce the palindrome
+    stream item for item.
     """
     tallies = _class_tallies(n) if n >= _BY_CLASS_FROM else None
     if tallies is None:
@@ -739,10 +723,11 @@ def _order_72(n: int) -> Checks:
 _ORDER_72 = "order-72 recomputation"
 
 # (display name, unit, ceiling): unit(n) runs the suite's check body at
-# order n alone. A ranged suite runs n = 1..ceiling; a user-supplied --max-n
+# order n alone, and unit(n, passes) lets the suites of `_ONE_PASS` share
+# one pass per order through `passes` (see `_run_order`). A ranged suite runs n = 1..ceiling; a user-supplied --max-n
 # lowers the ceilings but never raises them past the under-a-minute
 # defaults. The order-72 suite is one unit at its ceiling.
-SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
+SUITES: tuple[tuple[str, Callable[..., SuiteResult], int], ...] = tuple(
     (name, partial(_run_order, name, checks), ceiling)
     for name, checks, ceiling in (
         ("gap-word round trips", _round_trips, 14),
@@ -761,9 +746,8 @@ SUITES: tuple[tuple[str, Callable[[int], SuiteResult], int], ...] = tuple(
 
 def _run_units(n: int, indices: list[int]) -> list[SuiteResult]:
     """A pool task: suites `indices` at order n, one `_one_pass` serving those it checks."""
-    global _passes
-    _passes = {}
-    return [SUITES[index][1](n) for index in indices]
+    passes: dict = {}
+    return [SUITES[index][1](n, passes) for index in indices]
 
 
 def _merge(units: Iterable[SuiteResult], ceiling: int) -> SuiteResult:
@@ -790,12 +774,11 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
     largest n first, so the long high orders start at once and the short
     ones fill in behind them (Graham 1969); the `_ONE_PASS` units of one
     order go to a worker as one task. Either way one `_one_pass` per
-    order serves those units, its results held for this call only.
-    Results come back in registry order regardless of completion order,
-    so reports are deterministic. No more workers start than there are
-    suites.
+    order serves those units, through a dict of passes that this call, or
+    the pool task, owns and hands to each unit. Results come back in
+    registry order regardless of completion order, so reports are
+    deterministic. No more workers start than there are suites.
     """
-    global _passes
     if max_n is not None and max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {max_n}")
     if workers < 1:
@@ -821,9 +804,6 @@ def run_suites(max_n: int | None = None, workers: int = 1) -> list[SuiteResult]:
             }
         run = lambda index, n: done[index, n]
     else:
-        _passes = {}
-        run = lambda index, n: SUITES[index][1](n)
-    try:
-        return [_merge((run(index, n) for n in ns), ns[-1]) for index, ns in enumerate(orders)]
-    finally:
-        _passes = None
+        passes: dict = {}
+        run = lambda index, n: SUITES[index][1](n, passes)
+    return [_merge((run(index, n) for n in ns), ns[-1]) for index, ns in enumerate(orders)]

@@ -577,14 +577,24 @@ class TestFaultInjection:
 
     def test_a_composition_stream_one_word_short_fails_the_count_and_scaling_suites_at_10(self, monkeypatch):
         # From n = 10 both suites read the kernel's blocks, not `counting._words`, so the
-        # fault goes in through the blocks. Run from 10 up, each fails at its first order.
+        # fault goes in through the blocks. The round trips read `counting._words` in
+        # lockstep with the sets, so they fail at mask 511 too, after its two checks.
+        # Run from 10 up, each fails at its first order.
         monkeypatch.setattr(counting, "_listed", composition_blocks_edited(last_block_one_word_short))
         ones = ",".join(["1"] * 10)
         results = (ranged(name, 10, ceiling) for name, _, ceiling in SUITES if 10 <= ceiling < 72)
         assert {r.name: (r.checked, r.counterexample) for r in results if not r.passed} == {
+            "gap-word round trips": (2**10, f"n=10, mask 511: the kernel's composition is None, the gap word {ones}"),
             "count formulas vs enumeration": (0, f"n=10, mask 511: the kernel gives None, the walk {ones}"),
             "common-factor scaling bijection": (2**9 - 1, "n=10, d=1: 494 words vs 495 counted"),
         }
+
+    def test_a_composition_stream_past_the_masks_fails_the_round_trips_naming_the_kernel(self, monkeypatch):
+        # The sets, the mask route and the walk end at the last mask, so only the
+        # kernel's compositions run past it: two checks for each of the 8 masks of n = 4.
+        monkeypatch.setattr(counting, "_listed", composition_blocks_edited(one_block_past_the_last_mask))
+        result = verify._run_order("round trips", verify._round_trips, 4)
+        assert (result.checked, result.counterexample) == (16, "n=4, mask None: the kernel gives 4 past the last mask")
 
     def test_a_class_tally_without_the_heavy_classes_palindromes_fails_at_10(self, monkeypatch):
         # Classes with 2p > n meet the class route at its first order, n = 10, where
@@ -726,8 +736,8 @@ class TestFaultInjection:
         )
 
     def test_a_swap_in_a_later_chunk_fails_the_round_trips_with_the_per_mask_message(self, monkeypatch):
-        # Masks 1030 and 1040 share chunk 4 of n = 12; the chunk is replayed mask by
-        # mask, so the masks before 1030 count two checks each, as in one pass.
+        # Masks 1030 and 1040 share chunk 4 of n = 12, where the pass gives up. The
+        # body reads mask by mask, so the masks before 1030 count two checks each.
         def swapped(n, family):
             sets = list(WORDS(n, family))
             if n == 12:
@@ -930,16 +940,17 @@ class TestMutantMatrix:
         ):
             assert kills[mutant] == [i == scaling for i in range(len(names))], mutant
         # The count suite compares the kernel's compositions with the successor
-        # walk chunk by chunk, so it catches every fault of that stream.
+        # walk word by word, and the round trips with each set's gap word, so
+        # both catch every fault of that stream.
         count = names.index("count formulas vs enumeration")
+        rounds = names.index("gap-word round trips")
         for mutant in (
             "composition 2,3 dropped", "gcd class 7 dropped", "a gcd class out of order",
             "last composition dropped",
         ):
-            assert kills[mutant][count], mutant
+            assert kills[mutant][count] and kills[mutant][rounds], mutant
         # A boundary class spelled with the wrong rest puts wrong words in every
         # dense stream, which the count and round-trip suites compare mask by mask.
-        rounds = names.index("gap-word round trips")
         assert kills["boundary classes spelled with the previous rest"][count]
         assert kills["boundary classes spelled with the previous rest"][rounds]
         # The count, round-trip and part-count suites all read the successor
@@ -1092,8 +1103,8 @@ class TestUnits:
         calls = {name: [] for name, _, _ in SUITES}
 
         def recording(name, unit):
-            def run(n):
-                result = unit(n)
+            def run(n, *passes):
+                result = unit(n, *passes)
                 calls[name].append((n, result.passed))
                 return result
 
@@ -1367,6 +1378,24 @@ class TestOnePass:
         assert [(r.name, r.passed) for r in alone] == [(name, name != broken) for name in names]
         assert all(r.checked == full[r.name] for r in alone if r.passed)
 
+    def test_suite_units_wrapped_to_forward_their_arguments_change_no_result(self, monkeypatch):
+        # A tracer that wraps each unit in a forwarder, as perfbench/layers.py does,
+        # must still hand the run's passes through, so every order is served by one pass.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
+        plain = {workers: untimed(run_suites(max_n=11, workers=workers)) for workers in (1, 2)}
+        served = []
+        one_pass = verify._one_pass
+        monkeypatch.setattr(verify, "_one_pass", lambda n: served.append(n) or one_pass(n))
+
+        def forwarding(unit):
+            return lambda *args, **kwargs: unit(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "SUITES", tuple((name, forwarding(fn), c) for name, fn, c in SUITES))
+        for workers in (1, 2):
+            served.clear()
+            assert untimed(run_suites(max_n=11, workers=workers)) == plain[workers], workers
+            assert sorted(served) == list(range(1, 12)), workers
+
     def test_no_result_of_a_run_outlives_it(self, monkeypatch):
         # A unit run alone after a run, and the next run, must see a fault that came after it.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
@@ -1379,7 +1408,6 @@ class TestOnePass:
                 assert not ranged("gcd preservation", 1, 9).passed
                 assert not run_suites(max_n=9, workers=workers)[1].passed
             assert untimed(run_suites(max_n=9, workers=workers)) == clean
-            assert verify._passes is None
 
 
 class TestImageMismatch:
